@@ -65,17 +65,20 @@ bench-diff:
 # a single scheduler hiccup trips the gate, while the ILP benchmarks still
 # finish in a couple of iterations.
 bench-ci:
-	$(GO) test -run '^$$' -bench 'Campaign_1Fault$$|Campaign_1Fault_PPSFP$$|Table1_5x5|Ablation_PathILPIterative$$|Ablation_CutILP$$' \
+	$(GO) test -run '^$$' -bench 'Campaign_1Fault$$|Table1_5x5|Ablation_PathILPIterative$$|Ablation_CutILP$$' \
 		-benchtime 0.3s -benchmem -json . > /tmp/bench-ci.json
 	$(GO) run scripts/benchdiff.go -max-ns-regress 30 $(BENCH_OUT) /tmp/bench-ci.json
 
-# Short fuzz runs of the solver-stack and wire-codec fuzz targets; the
-# committed corpus under testdata/fuzz always runs as part of `go test`.
+# Short runs of every fuzz target: the solver stack, the wire codecs and
+# the daemon's submit decoding. Seeds and the committed corpus under
+# testdata/fuzz always run as part of `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzModelSolve -fuzztime 10s ./internal/ilp
 	$(GO) test -run '^$$' -fuzz FuzzDecodePlan -fuzztime 10s ./fpva
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDiagnosis -fuzztime 10s ./fpva
+	$(GO) test -run '^$$' -fuzz FuzzDecodeArray -fuzztime 10s ./fpva
+	$(GO) test -run '^$$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/fpvad
 
 # End-to-end daemon smoke: boot fpvad, submit a 4x4 generate job, stream
 # progress, fetch the plan, prove the upload round trip is bit-identical,

@@ -99,10 +99,6 @@ func BenchmarkFig9_Paths20x20(b *testing.B) {
 }
 
 func benchCampaign(b *testing.B, faults, workers int) {
-	benchCampaignEngine(b, faults, workers, sim.EngineAuto)
-}
-
-func benchCampaignEngine(b *testing.B, faults, workers int, engine sim.CampaignEngine) {
 	c, err := bench.FindCase("5x5")
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +114,6 @@ func benchCampaignEngine(b *testing.B, faults, workers int, engine sim.CampaignE
 	for i := 0; i < b.N; i++ {
 		res, err = s.RunCampaign(context.Background(), vecs, sim.CampaignConfig{
 			Trials: 10000, NumFaults: faults, Seed: int64(faults), Workers: workers,
-			Engine: engine,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -141,26 +136,6 @@ func BenchmarkCampaign_2Faults_Parallel(b *testing.B) { benchCampaign(b, 2, runt
 func BenchmarkCampaign_3Faults_Parallel(b *testing.B) { benchCampaign(b, 3, runtime.NumCPU()) }
 func BenchmarkCampaign_4Faults_Parallel(b *testing.B) { benchCampaign(b, 4, runtime.NumCPU()) }
 func BenchmarkCampaign_5Faults_Parallel(b *testing.B) { benchCampaign(b, 5, runtime.NumCPU()) }
-
-// Engine ablation: the bit-parallel (PPSFP) engine — 64 fault universes
-// per uint64 word, one BFS pass serving all of them — against the scalar
-// one-universe-at-a-time reference, both single-worker so the ratio is pure
-// bit-parallelism. The default Campaign_* variants above already run PPSFP
-// via EngineAuto; the explicit names keep the comparison stable if the
-// default ever changes.
-func BenchmarkCampaign_1Fault_PPSFP(b *testing.B) {
-	benchCampaignEngine(b, 1, 1, sim.EngineBitParallel)
-}
-func BenchmarkCampaign_3Faults_PPSFP(b *testing.B) {
-	benchCampaignEngine(b, 3, 1, sim.EngineBitParallel)
-}
-func BenchmarkCampaign_5Faults_PPSFP(b *testing.B) {
-	benchCampaignEngine(b, 5, 1, sim.EngineBitParallel)
-}
-func BenchmarkCampaign_1Fault_Scalar(b *testing.B) { benchCampaignEngine(b, 1, 1, sim.EngineScalar) }
-func BenchmarkCampaign_5Faults_Scalar(b *testing.B) {
-	benchCampaignEngine(b, 5, 1, sim.EngineScalar)
-}
 
 // Sec. III single-fault guarantee sweep: every stuck-at fault on every
 // Normal valve of the 5x5 through the word-parallel DetectsBatch.
@@ -290,7 +265,7 @@ func benchDiagnoseCompile(b *testing.B, name string) {
 func BenchmarkDiagnose_Compile_5x5(b *testing.B)   { benchDiagnoseCompile(b, "5x5") }
 func BenchmarkDiagnose_Compile_10x10(b *testing.B) { benchDiagnoseCompile(b, "10x10") }
 
-func benchDiagnoseClosedLoop(b *testing.B, name string, planner diagnose.Planner) {
+func benchDiagnoseClosedLoop(b *testing.B, name string) {
 	ts, cv, opt := benchDiagnoseSetup(b, name)
 	sg, err := diagnose.Compile(context.Background(), cv, opt)
 	if err != nil {
@@ -305,12 +280,9 @@ func benchDiagnoseClosedLoop(b *testing.B, name string, planner diagnose.Planner
 		// Candidate indices 1..nSingles are exactly the single stuck-at
 		// faults; the table itself answers the probes.
 		for c := 1; c <= nSingles; c++ {
-			sess := diagnose.NewSession(sg, planner)
+			sess := diagnose.NewSession(sg)
 			for {
-				v, err := sess.NextProbe(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
+				v := sess.NextProbe()
 				if v < 0 {
 					break
 				}
@@ -330,15 +302,8 @@ func benchDiagnoseClosedLoop(b *testing.B, name string, planner diagnose.Planner
 	b.ReportMetric(float64(totalProbes)/float64(nSingles), "probes/fault")
 }
 
-func BenchmarkDiagnose_ClosedLoop_5x5(b *testing.B) {
-	benchDiagnoseClosedLoop(b, "5x5", diagnose.PlannerGreedy)
-}
-func BenchmarkDiagnose_ClosedLoop_10x10(b *testing.B) {
-	benchDiagnoseClosedLoop(b, "10x10", diagnose.PlannerGreedy)
-}
-func BenchmarkDiagnose_ClosedLoop_5x5_ILP(b *testing.B) {
-	benchDiagnoseClosedLoop(b, "5x5", diagnose.PlannerILP)
-}
+func BenchmarkDiagnose_ClosedLoop_5x5(b *testing.B)   { benchDiagnoseClosedLoop(b, "5x5") }
+func BenchmarkDiagnose_ClosedLoop_10x10(b *testing.B) { benchDiagnoseClosedLoop(b, "10x10") }
 
 // Ablation: the serpentine engine versus the paper's iterative ILP model on
 // the same 4x4 array — same coverage, different path counts and runtime

@@ -613,20 +613,6 @@ func (s *server) submitDiagnose(plan *fpva.Plan, p *api.DiagnoseParams) (*fpva.J
 		for _, o := range p.Observations {
 			obs = append(obs, fpva.Observation{Vector: o.Vector, Readings: o.Readings})
 		}
-		if p.Planner != "" {
-			pl, err := fpva.ParseProbePlanner(p.Planner)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, fpva.WithProbePlanner(pl))
-		}
-		if p.Engine != "" {
-			eng, err := fpva.ParseCampaignEngine(p.Engine)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, fpva.WithDiagnoseEngine(eng))
-		}
 		if p.Workers > 0 {
 			opts = append(opts, fpva.WithDiagnoseWorkers(p.Workers))
 		}

@@ -338,9 +338,9 @@ func TestDiagnoseJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	params := fmt.Sprintf(`"observations":[{"vector":0,"readings":%s}]`, rb)
 	code, b := postJSON(t, srv.URL+"/v1/jobs", fmt.Sprintf(
-		`{"kind":"diagnose","plan":%s,"diagnose":{"observations":[{"vector":0,"readings":%s}],"planner":"greedy"}}`,
-		wire.String(), rb))
+		`{"kind":"diagnose","plan":%s,"diagnose":{%s}}`, wire.String(), params))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, b)
 	}
@@ -379,11 +379,11 @@ func TestDiagnoseJob(t *testing.T) {
 		t.Errorf("streamed %d diagnose ticks, want 1", ticks)
 	}
 
-	code, b = getBody(t, srv.URL+"/v1/jobs/"+j.ID+"/result")
+	code, result := getBody(t, srv.URL+"/v1/jobs/"+j.ID+"/result")
 	if code != http.StatusOK {
-		t.Fatalf("result: %d %s", code, b)
+		t.Fatalf("result: %d %s", code, result)
 	}
-	d, err := fpva.DecodeDiagnosis(bytes.NewReader(b))
+	d, err := fpva.DecodeDiagnosis(bytes.NewReader(result))
 	if err != nil {
 		t.Fatalf("result is not a v1 diagnosis: %v", err)
 	}
@@ -416,11 +416,24 @@ func TestDiagnoseJob(t *testing.T) {
 		t.Errorf("per-kind stats %+v", st.Kinds)
 	}
 
-	// Unknown planner names are a 400 at submit time.
-	code, b = postJSON(t, srv.URL+"/v1/jobs",
-		fmt.Sprintf(`{"kind":"diagnose","plan":%s,"diagnose":{"planner":"psychic"}}`, wire.String()))
-	if code != http.StatusBadRequest {
-		t.Errorf("bad planner: %d %s", code, b)
+	// Old clients still send the removed planner and engine selectors:
+	// they are ignored like any unknown field, and the result bytes are
+	// those of the same request without them.
+	code, b = postJSON(t, srv.URL+"/v1/jobs", fmt.Sprintf(
+		`{"kind":"diagnose","plan":%s,"diagnose":{%s,"planner":"ilp","engine":"scalar"}}`, wire.String(), params))
+	if code != http.StatusAccepted {
+		t.Fatalf("old-client submit: %d %s", code, b)
+	}
+	var old api.Job
+	if err := json.Unmarshal(b, &old); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, srv.URL, old.ID); got.State != "done" {
+		t.Fatalf("old-client diagnose job: %+v", got)
+	}
+	code, b = getBody(t, srv.URL+"/v1/jobs/"+old.ID+"/result")
+	if code != http.StatusOK || !bytes.Equal(b, result) {
+		t.Errorf("old-client result: %d\n%s\nwant\n%s", code, b, result)
 	}
 }
 

@@ -14,11 +14,11 @@
 //	fpvasim -case 5x5 -baseline                   use the 2*nv baseline set
 //	fpvasim -case 20x20 -timeout 1m               abort (exit 2) past a deadline
 //	fpvasim -case 5x5 -diagnose                   closed-loop diagnosis study
-//	fpvasim -case 10x10 -diagnose -diagnose-trials 50 -planner ilp
+//	fpvasim -case 10x10 -diagnose -diagnose-trials 50
 //
 // With -diagnose, instead of a detection campaign the tool injects each
 // single stuck-at fault as a hidden defect, answers the diagnosis
-// engine's adaptive probes from the simulator, and reports
+// engine's adaptive (greedy) probes from the simulator, and reports
 // probes-to-isolation statistics per fault kind. -diagnose-trials caps
 // the study to a seeded sample of faults (0 = exhaustive); the run is
 // deterministic for a fixed seed.
@@ -55,14 +55,12 @@ type options struct {
 	seed       int64
 	workers    int
 	maxEscapes int
-	engine     string
 	leaks      bool
 	baseline   bool
 	progress   bool
 	timeout    time.Duration
 	diagnose   bool
 	diagTrials int
-	planner    string
 }
 
 func main() {
@@ -111,14 +109,12 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&opt.seed, "seed", 2017, "campaign RNG seed")
 	fs.IntVar(&opt.workers, "workers", 0, "campaign worker goroutines (0 = all CPUs)")
 	fs.IntVar(&opt.maxEscapes, "max-escapes", 0, "cap on recorded undetected fault sets (0 = default 16)")
-	fs.StringVar(&opt.engine, "engine", "auto", "campaign engine: auto, bit-parallel, scalar")
 	fs.BoolVar(&opt.leaks, "leaks", false, "also inject control-leakage faults")
 	fs.BoolVar(&opt.baseline, "baseline", false, "evaluate the one-valve-at-a-time baseline instead")
 	fs.BoolVar(&opt.progress, "progress", false, "report campaign trial progress on stderr")
 	fs.DurationVar(&opt.timeout, "timeout", 0, "abort after this duration (exit code 2)")
 	fs.BoolVar(&opt.diagnose, "diagnose", false, "run the closed-loop diagnosis study instead of a campaign")
 	fs.IntVar(&opt.diagTrials, "diagnose-trials", 0, "sample this many hidden faults (0 = every single stuck-at fault)")
-	fs.StringVar(&opt.planner, "planner", "greedy", "diagnosis probe planner: greedy, ilp")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return opt, err
@@ -163,27 +159,18 @@ func run(ctx context.Context, w io.Writer, opt options) error {
 	if err := validateSelectors(opt); err != nil {
 		return err
 	}
-	engineName := opt.engine
-	if engineName == "" {
-		engineName = "auto"
-	}
-	engine, err := fpva.ParseCampaignEngine(engineName)
-	if err != nil {
-		return usagef("%v", err)
-	}
 	plan, label, err := loadPlan(ctx, opt)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s on %v: %d vectors\n", label, plan.Array(), plan.NumVectors())
 	if opt.diagnose {
-		return runDiagnose(ctx, w, opt, plan, engine)
+		return runDiagnose(ctx, w, opt, plan)
 	}
 	campOpts := []fpva.CampaignOption{
 		fpva.WithTrials(opt.trials),
 		fpva.WithCampaignWorkers(opt.workers),
 		fpva.WithMaxEscapes(opt.maxEscapes),
-		fpva.WithCampaignEngine(engine),
 	}
 	if opt.leaks {
 		campOpts = append(campOpts, fpva.WithLeakFaults())
@@ -223,13 +210,9 @@ type diagState struct {
 // probes-to-isolation. Everything is deterministic for a fixed seed —
 // fault order follows the array's valve order and sampling uses a seeded
 // shuffle.
-func runDiagnose(ctx context.Context, w io.Writer, opt options, plan *fpva.Plan, engine fpva.CampaignEngine) error {
+func runDiagnose(ctx context.Context, w io.Writer, opt options, plan *fpva.Plan) error {
 	if opt.diagTrials < 0 {
 		return usagef("-diagnose-trials must be >= 0")
-	}
-	planner, err := fpva.ParseProbePlanner(opt.planner)
-	if err != nil {
-		return usagef("%v", err)
 	}
 	a := plan.Array()
 	sim, err := a.NewSimulator()
@@ -252,14 +235,13 @@ func runDiagnose(ctx context.Context, w io.Writer, opt options, plan *fpva.Plan,
 		rng.Shuffle(len(hidden), func(i, j int) { hidden[i], hidden[j] = hidden[j], hidden[i] })
 		hidden = hidden[:opt.diagTrials]
 	}
-	sessOpts := []fpva.DiagnoseOption{
-		fpva.WithProbePlanner(planner),
-		fpva.WithDiagnoseEngine(engine),
-	}
+	var sessOpts []fpva.DiagnoseOption
 	if opt.workers > 0 {
 		sessOpts = append(sessOpts, fpva.WithDiagnoseWorkers(opt.workers))
 	}
-	fmt.Fprintf(w, "diagnosis (%s planner): %d hidden faults\n", planner, len(hidden))
+	// The header still names the planner, so recorded outputs stay
+	// comparable with those of older builds.
+	fmt.Fprintf(w, "diagnosis (greedy planner): %d hidden faults\n", len(hidden))
 	stats := make(map[fpva.FaultKind]*diagState, len(kinds))
 	for _, kind := range kinds {
 		stats[kind] = &diagState{}
@@ -309,10 +291,7 @@ func diagnoseOne(ctx context.Context, plan *fpva.Plan, sim *fpva.Simulator, vecs
 	}
 	injected := []fpva.Fault{h}
 	for {
-		v, err := sess.NextProbe(ctx)
-		if err != nil {
-			return 0, 0, nil, err
-		}
+		v := sess.NextProbe()
 		if v < 0 {
 			break
 		}

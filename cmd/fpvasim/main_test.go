@@ -168,7 +168,7 @@ func TestRunDiagnose(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var b strings.Builder
 		err := run(context.Background(), &b, options{rows: 3, cols: 3,
-			diagnose: true, seed: 9, planner: "greedy", workers: workers})
+			diagnose: true, seed: 9, workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,13 +187,13 @@ func TestRunDiagnose(t *testing.T) {
 }
 
 // TestRunDiagnoseSampled: -diagnose-trials takes a deterministic seeded
-// sample, and the ILP planner drives the same loop.
+// sample.
 func TestRunDiagnoseSampled(t *testing.T) {
 	outs := make([]string, 2)
 	for i := range outs {
 		var b strings.Builder
 		err := run(context.Background(), &b, options{caseName: "5x5",
-			diagnose: true, diagTrials: 6, seed: 4, planner: "ilp"})
+			diagnose: true, diagTrials: 6, seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,22 +202,17 @@ func TestRunDiagnoseSampled(t *testing.T) {
 	if outs[0] != outs[1] {
 		t.Errorf("sampled diagnose runs diverge:\n%s\nvs\n%s", outs[0], outs[1])
 	}
-	if !strings.Contains(outs[0], "diagnosis (ilp planner): 6 hidden faults") {
+	if !strings.Contains(outs[0], "diagnosis (greedy planner): 6 hidden faults") {
 		t.Errorf("output:\n%s", outs[0])
 	}
 }
 
-// TestRunDiagnoseUsageErrors: bad planner names and negative sample
-// counts are usage errors (exit code 2).
+// TestRunDiagnoseUsageErrors: negative sample counts are usage errors
+// (exit code 2).
 func TestRunDiagnoseUsageErrors(t *testing.T) {
-	for name, opt := range map[string]options{
-		"bad planner":     {rows: 3, cols: 3, diagnose: true, planner: "psychic"},
-		"negative trials": {rows: 3, cols: 3, diagnose: true, planner: "greedy", diagTrials: -1},
-	} {
-		err := run(context.Background(), io.Discard, opt)
-		if exitCode(err) != 2 {
-			t.Errorf("%s: exit %d (err %v), want 2", name, exitCode(err), err)
-		}
+	err := run(context.Background(), io.Discard, options{rows: 3, cols: 3, diagnose: true, diagTrials: -1})
+	if exitCode(err) != 2 {
+		t.Errorf("negative trials: exit %d (err %v), want 2", exitCode(err), err)
 	}
 }
 
@@ -297,36 +292,5 @@ func TestRunUnknownCase(t *testing.T) {
 		trials: 10, maxFaults: 1, seed: 1})
 	if err == nil {
 		t.Error("unknown case accepted")
-	}
-}
-
-func TestRunEnginesAgree(t *testing.T) {
-	// The scalar and bit-parallel engines must print identical detection
-	// tables; "auto" and the zero-valued options default must too.
-	outputs := map[string]string{}
-	for _, engine := range []string{"", "auto", "scalar", "bit-parallel"} {
-		var b strings.Builder
-		if err := run(context.Background(), &b, options{caseName: "5x5",
-			trials: 150, maxFaults: 3, seed: 42, workers: 2, engine: engine}); err != nil {
-			t.Fatalf("engine=%q: %v", engine, err)
-		}
-		outputs[engine] = b.String()
-	}
-	for engine, out := range outputs {
-		if out != outputs["scalar"] {
-			t.Errorf("engine=%q diverges from scalar:\n%s\nvs\n%s", engine, out, outputs["scalar"])
-		}
-	}
-}
-
-func TestRunUnknownEngine(t *testing.T) {
-	var b strings.Builder
-	err := run(context.Background(), &b, options{caseName: "5x5",
-		trials: 10, maxFaults: 1, seed: 1, engine: "simd"})
-	if err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if code := exitCode(err); code != 2 {
-		t.Fatalf("unknown engine exit code %d, want 2 (usage)", code)
 	}
 }

@@ -54,11 +54,11 @@ type VerifyParams struct {
 
 // DiagnoseParams tunes a diagnose job. Observations are the vector
 // readings already taken on the device under test; the job narrows the
-// candidate set against them and plans the follow-up probes.
+// candidate set against them and plans the follow-up probes. The
+// "planner" and "engine" fields of older clients are ignored, like any
+// unknown field.
 type DiagnoseParams struct {
 	Observations []Observation `json:"observations,omitempty"`
-	Planner      string        `json:"planner,omitempty"` // "greedy" | "ilp"
-	Engine       string        `json:"engine,omitempty"`  // "auto" | "bit-parallel" | "scalar"
 	Workers      int           `json:"workers,omitempty"`
 	Budget       int           `json:"budget,omitempty"`
 	MaxDoubles   int           `json:"maxDoubles,omitempty"`

@@ -15,42 +15,7 @@ import (
 
 	"repro/internal/diagnose"
 	"repro/internal/grid"
-	"repro/internal/sim"
 )
-
-// ProbePlanner selects how diagnosis picks the next probe vector.
-type ProbePlanner int
-
-const (
-	// ProbePlannerGreedy probes the vector that most evenly splits the
-	// surviving ambiguity set (smallest largest block), tie-broken by lowest
-	// vector index. Fast, and within one probe of optimal in practice.
-	ProbePlannerGreedy ProbePlanner = iota
-	// ProbePlannerILP solves a minimal probe set-cover over the surviving
-	// set with the branch-and-bound core, warm-starting across rounds. It
-	// falls back to the greedy rule — deterministically — whenever the set
-	// is too large to model or a solve is not proven optimal.
-	ProbePlannerILP
-)
-
-func (p ProbePlanner) String() string {
-	if p == ProbePlannerILP {
-		return "ilp"
-	}
-	return "greedy"
-}
-
-// ParseProbePlanner maps the command-line planner names ("greedy", "ilp")
-// to a ProbePlanner.
-func ParseProbePlanner(s string) (ProbePlanner, error) {
-	switch s {
-	case "greedy":
-		return ProbePlannerGreedy, nil
-	case "ilp":
-		return ProbePlannerILP, nil
-	}
-	return 0, fmt.Errorf("fpva: unknown probe planner %q", s)
-}
 
 // Observation is one applied test vector together with the pressure
 // readings seen at the sinks (in port attachment order, like
@@ -113,8 +78,6 @@ type DiagnoseOption func(*diagnoseConfig)
 
 type diagnoseConfig struct {
 	workers    int
-	engine     CampaignEngine
-	planner    ProbePlanner
 	budget     int
 	maxDoubles int
 	noLeaks    bool
@@ -125,18 +88,6 @@ type diagnoseConfig struct {
 // (default: all CPUs). The table — and everything computed from it — is
 // bit-identical for any worker count.
 func WithDiagnoseWorkers(n int) DiagnoseOption { return func(c *diagnoseConfig) { c.workers = n } }
-
-// WithDiagnoseEngine selects the signature-build engine (default
-// CampaignEngineAuto). Results are bit-identical across engines; the choice
-// only affects speed.
-func WithDiagnoseEngine(e CampaignEngine) DiagnoseOption {
-	return func(c *diagnoseConfig) { c.engine = e }
-}
-
-// WithProbePlanner selects the probe-planning strategy (default greedy).
-func WithProbePlanner(p ProbePlanner) DiagnoseOption {
-	return func(c *diagnoseConfig) { c.planner = p }
-}
 
 // WithProbeBudget truncates the suggested probe sequence of a Diagnosis to
 // at most n entries (<= 0, the default, plans until no probe helps).
@@ -161,41 +112,20 @@ func WithDiagnoseProgress(p Progress) DiagnoseOption {
 }
 
 // internalOptions maps the public diagnosis options onto the internal
-// engine configuration, rejecting unknown engine selections.
-func (c diagnoseConfig) internalOptions(p *Plan) (diagnose.Options, error) {
+// engine configuration.
+func (c diagnoseConfig) internalOptions(p *Plan) diagnose.Options {
 	opt := diagnose.Options{Workers: c.workers, MaxDoubles: c.maxDoubles}
-	switch c.engine {
-	case CampaignEngineAuto:
-		opt.Engine = sim.EngineAuto
-	case CampaignEngineBitParallel:
-		opt.Engine = sim.EngineBitParallel
-	case CampaignEngineScalar:
-		opt.Engine = sim.EngineScalar
-	default:
-		return diagnose.Options{}, fmt.Errorf("fpva: unknown campaign engine %d", int(c.engine))
-	}
 	if !c.noLeaks {
 		for _, lp := range p.ts.LeakPairs {
 			opt.LeakPairs = append(opt.LeakPairs, [2]grid.ValveID{lp[0], lp[1]})
 		}
 	}
-	return opt, nil
-}
-
-// internalPlanner maps the public planner selection onto the internal one.
-func (c diagnoseConfig) internalPlanner() (diagnose.Planner, error) {
-	switch c.planner {
-	case ProbePlannerGreedy:
-		return diagnose.PlannerGreedy, nil
-	case ProbePlannerILP:
-		return diagnose.PlannerILP, nil
-	}
-	return 0, fmt.Errorf("fpva: unknown probe planner %d", int(c.planner))
+	return opt
 }
 
 // sigMemoEntry is the plan's one-slot signature memo: the last table
 // compiled, keyed by the options that shape the candidate universe
-// (workers and engine never change the table).
+// (workers never change the table).
 type sigMemoEntry struct {
 	noLeaks    bool
 	maxDoubles int
@@ -207,12 +137,6 @@ type sigMemoEntry struct {
 // closed-loop study opening one session per hidden fault — fpvasim
 // -diagnose — pays for the compile once.
 func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diagnose.Signatures, error) {
-	// Validate the options before the memo lookup: a cache hit must not
-	// let a bad engine selection through.
-	opt, err := cfg.internalOptions(p)
-	if err != nil {
-		return nil, err
-	}
 	p.sigMu.Lock()
 	if m := p.sigMemo; m != nil && m.noLeaks == cfg.noLeaks && m.maxDoubles == cfg.maxDoubles {
 		sg := m.sg
@@ -224,7 +148,7 @@ func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diag
 	if err != nil {
 		return nil, err
 	}
-	sg, err := diagnose.Compile(ctx, cv, opt)
+	sg, err := diagnose.Compile(ctx, cv, cfg.internalOptions(p))
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +161,7 @@ func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diag
 // runDiagnosis replays the observations into a fresh session and snapshots
 // the result. It is shared by Plan.Diagnose and the service job runner.
 func runDiagnosis(ctx context.Context, p *Plan, sg *diagnose.Signatures, cfg diagnoseConfig, obs []Observation) (*Diagnosis, error) {
-	planner, err := cfg.internalPlanner()
-	if err != nil {
-		return nil, err
-	}
-	sess := diagnose.NewSession(sg, planner)
+	sess := diagnose.NewSession(sg)
 	for i, o := range obs {
 		if err := sess.Observe(o.Vector, o.Readings); err != nil {
 			return nil, err
@@ -305,7 +225,7 @@ func newDiagnosis(p *Plan, sg *diagnose.Signatures, sess *diagnose.Session, step
 // universe and a from-scratch probe plan.
 //
 // The result is deterministic: it depends only on the plan, the options and
-// the observations — never on worker count or engine. Cancelling ctx aborts
+// the observations — never on worker count. Cancelling ctx aborts
 // the signature build promptly and returns an error wrapping ctx.Err().
 //
 // Diagnose reuses the plan's memoized signature table when the candidate
@@ -347,15 +267,11 @@ func (p *Plan) NewDiagnoseSession(ctx context.Context, opts ...DiagnoseOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	planner, err := cfg.internalPlanner()
-	if err != nil {
-		return nil, err
-	}
 	sg, err := p.compileSignatures(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &DiagnoseSession{p: p, cfg: cfg, sg: sg, sess: diagnose.NewSession(sg, planner)}, nil
+	return &DiagnoseSession{p: p, cfg: cfg, sg: sg, sess: diagnose.NewSession(sg)}, nil
 }
 
 // Observe narrows the ambiguity set by one observation.
@@ -370,13 +286,9 @@ func (s *DiagnoseSession) Observe(o Observation) error {
 }
 
 // NextProbe returns the vector to probe next, or -1 when no unprobed
-// vector can shrink the ambiguity set further.
-func (s *DiagnoseSession) NextProbe(ctx context.Context) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return s.sess.NextProbe(ctx)
-}
+// vector can shrink the ambiguity set further. The choice is greedy: the
+// vector whose readings most evenly split the surviving candidates.
+func (s *DiagnoseSession) NextProbe() int { return s.sess.NextProbe() }
 
 // Done reports whether probing is over: the surviving candidates are down
 // to one signature class (or the set is empty).
@@ -400,8 +312,8 @@ func (s *DiagnoseSession) Diagnosis(ctx context.Context) (*Diagnosis, error) {
 
 // sigKey derives the cache key of a compiled signature table: the SHA-256
 // of the plan's v1 wire encoding plus the fingerprint of every option that
-// can change the table. Worker counts and engines are deliberately excluded
-// — tables are bit-identical across both, so they must share an entry.
+// can change the table. Worker counts are deliberately excluded — tables
+// are bit-identical across them, so they must share an entry.
 func sigKey(p *Plan, cfg diagnoseConfig) (string, error) {
 	h := sha256.New()
 	if err := EncodePlan(h, p); err != nil {

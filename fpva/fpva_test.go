@@ -2,7 +2,6 @@ package fpva_test
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -277,44 +276,5 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if a.Text() != b.Text() {
 		t.Error("text format does not round-trip")
-	}
-}
-
-func TestCampaignEngineOption(t *testing.T) {
-	a := mustArray(t, 5, 5)
-	p := mustGenerate(t, a)
-	run := func(e fpva.CampaignEngine) fpva.CampaignResult {
-		res, err := p.Campaign(context.Background(),
-			fpva.WithTrials(300), fpva.WithNumFaults(3), fpva.WithSeed(11),
-			fpva.WithLeakFaults(), fpva.WithCampaignEngine(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	scalar := run(fpva.CampaignEngineScalar)
-	words := run(fpva.CampaignEngineBitParallel)
-	auto := run(fpva.CampaignEngineAuto)
-	if !reflect.DeepEqual(scalar, words) || !reflect.DeepEqual(scalar, auto) {
-		t.Errorf("engines disagree:\nscalar: %+v\nwords:  %+v\nauto:   %+v", scalar, words, auto)
-	}
-	if _, err := p.Campaign(context.Background(),
-		fpva.WithTrials(10), fpva.WithCampaignEngine(fpva.CampaignEngine(42))); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
-func TestParseCampaignEngine(t *testing.T) {
-	for name, want := range map[string]fpva.CampaignEngine{
-		"auto": fpva.CampaignEngineAuto, "bit-parallel": fpva.CampaignEngineBitParallel,
-		"scalar": fpva.CampaignEngineScalar,
-	} {
-		got, err := fpva.ParseCampaignEngine(name)
-		if err != nil || got != want {
-			t.Errorf("ParseCampaignEngine(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := fpva.ParseCampaignEngine("simd"); err == nil {
-		t.Error("bogus engine name accepted")
 	}
 }

@@ -118,35 +118,6 @@ func (p *Plan) RenderCut(i int) (string, error) {
 	return render.Cut(p.a.g, p.ts.Cuts[i]), nil
 }
 
-// CampaignEngine selects how a fault-injection campaign evaluates trials.
-type CampaignEngine int
-
-const (
-	// CampaignEngineAuto picks the best engine (currently bit-parallel).
-	CampaignEngineAuto CampaignEngine = iota
-	// CampaignEngineBitParallel packs 64 trials' fault universes into
-	// uint64 bit lanes and propagates pressure for all of them per graph
-	// traversal (PPSFP).
-	CampaignEngineBitParallel
-	// CampaignEngineScalar evaluates one fault universe at a time; kept as
-	// the differential reference for the bit-parallel engine.
-	CampaignEngineScalar
-)
-
-// ParseCampaignEngine maps the command-line engine names ("auto",
-// "bit-parallel", "scalar") to a CampaignEngine.
-func ParseCampaignEngine(s string) (CampaignEngine, error) {
-	switch s {
-	case "auto":
-		return CampaignEngineAuto, nil
-	case "bit-parallel":
-		return CampaignEngineBitParallel, nil
-	case "scalar":
-		return CampaignEngineScalar, nil
-	}
-	return 0, fmt.Errorf("fpva: unknown campaign engine %q", s)
-}
-
 // CampaignOption customizes Plan.Campaign.
 type CampaignOption func(*campaignConfig)
 
@@ -158,7 +129,6 @@ type campaignConfig struct {
 	maxEscapes int
 	leaks      bool
 	progress   Progress
-	engine     CampaignEngine
 }
 
 // WithTrials sets the number of random fault injections (default 10000, the
@@ -190,13 +160,6 @@ func WithLeakFaults() CampaignOption { return func(c *campaignConfig) { c.leaks 
 // always ends with a tick at (TrialsTotal, TrialsTotal).
 func WithCampaignProgress(p Progress) CampaignOption {
 	return func(c *campaignConfig) { c.progress = p }
-}
-
-// WithCampaignEngine selects the trial-evaluation engine (default
-// CampaignEngineAuto). Results are bit-identical across engines; the choice
-// only affects speed.
-func WithCampaignEngine(e CampaignEngine) CampaignOption {
-	return func(c *campaignConfig) { c.engine = e }
 }
 
 // CampaignResult summarizes a fault-injection campaign.
@@ -239,16 +202,6 @@ func (p *Plan) Campaign(ctx context.Context, opts ...CampaignOption) (CampaignRe
 		Seed:       cfg.seed,
 		Workers:    cfg.workers,
 		MaxEscapes: cfg.maxEscapes,
-	}
-	switch cfg.engine {
-	case CampaignEngineAuto:
-		simCfg.Engine = sim.EngineAuto
-	case CampaignEngineBitParallel:
-		simCfg.Engine = sim.EngineBitParallel
-	case CampaignEngineScalar:
-		simCfg.Engine = sim.EngineScalar
-	default:
-		return CampaignResult{}, fmt.Errorf("fpva: unknown campaign engine %d", int(cfg.engine))
 	}
 	if cfg.leaks {
 		for _, lp := range p.ts.LeakPairs {

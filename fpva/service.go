@@ -705,10 +705,9 @@ func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job
 }
 
 // SubmitDiagnose queues an adaptive fault-diagnosis job against the plan.
-// Options are those of Plan.Diagnose; invalid engine or planner selections
-// fail synchronously. The returned handle resolves to a *Diagnosis via
-// Job.Diagnosis after Job.Wait, and emits one DiagnoseTick event per
-// observation round.
+// Options are those of Plan.Diagnose. The returned handle resolves to a
+// *Diagnosis via Job.Diagnosis after Job.Wait, and emits one DiagnoseTick
+// event per observation round.
 //
 // Compiled signature tables are cached by content (plan wire encoding plus
 // the options that shape the candidate universe), so repeated diagnoses of
@@ -722,12 +721,6 @@ func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation
 	var cfg diagnoseConfig
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if _, err := cfg.internalOptions(p); err != nil {
-		return nil, err
-	}
-	if _, err := cfg.internalPlanner(); err != nil {
-		return nil, err
 	}
 	// Deep-copy the observations: the job goroutine reads them after
 	// SubmitDiagnose returns, and the caller may reuse its buffers.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -138,6 +139,10 @@ func TestCampaignSeries(t *testing.T) {
 	}
 }
 
+// TestTable1Renders pins the measured Table I columns (np, nc, nl, N) of
+// every benchmark array, read back from the rendered table. They are the
+// oracle that changes to test generation must keep (or update on
+// purpose); EXPERIMENTS.md compares them with the paper's N.
 func TestTable1Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five arrays")
@@ -146,9 +151,29 @@ func TestTable1Renders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"5x5", "10x10", "15x15", "20x20", "30x30", "nv"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
+	want := map[string][4]int{ // np, nc, nl, N
+		"5x5":   {4, 10, 2, 16},
+		"10x10": {8, 26, 9, 43},
+		"15x15": {14, 37, 27, 78},
+		"20x20": {17, 38, 43, 98},
+		"30x30": {43, 120, 68, 231},
+	}
+	for _, c := range Table1Cases() {
+		var row string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, c.Name+" ") {
+				row = line
+			}
+		}
+		var name, top string
+		var nv int
+		var got [4]int
+		if _, err := fmt.Sscanf(row, "%s %d %s | %d %d %d %d", &name, &nv, &top,
+			&got[0], &got[1], &got[2], &got[3]); err != nil {
+			t.Fatalf("%s: unparsable row %q: %v\n%s", c.Name, row, err, out)
+		}
+		if nv != c.PaperNV || got != want[c.Name] {
+			t.Errorf("%s: nv=%d (np, nc, nl, N)=%v, want nv=%d %v", c.Name, nv, got, c.PaperNV, want[c.Name])
 		}
 	}
 	t.Logf("\n%s", out)

@@ -12,10 +12,10 @@
 //   - Narrow intersects an observation with the matrix row, shrinking the
 //     ambiguity set by one AND per word;
 //   - the greedy planner scores every unprobed vector by how evenly its
-//     readings partition the survivors and probes the best one;
-//   - the optional ILP planner (see ilpcover.go) asks the branch-and-bound
-//     core for a minimal set of probes that pairwise separates the whole
-//     surviving set, warm-starting each round from the last.
+//     readings partition the survivors and probes the best one. An exact
+//     ILP probe cover was tried and removed: it never needed fewer probes
+//     on the Table I arrays and ran at least 70x slower
+//     (EXPERIMENTS.md, "Probes-to-isolation").
 //
 // Candidate 0 is always the fault-free universe, so "the chip is actually
 // healthy" and "this fault is undetectable" fall out of the same machinery:
@@ -23,7 +23,7 @@
 //
 // Determinism contract: candidate order, ambiguity sets, and probe choices
 // depend only on (compiled vectors, Options, observations) — never on
-// worker count, engine, or map iteration order.
+// worker count or map iteration order.
 package diagnose
 
 import (
@@ -40,9 +40,6 @@ type Options struct {
 	// Workers shards the signature build; <= 0 means runtime.NumCPU().
 	// The table is bit-identical for any worker count.
 	Workers int
-	// Engine selects the signature-build engine (word vs scalar); results
-	// are bit-identical across engines.
-	Engine sim.CampaignEngine
 	// LeakPairs, when non-empty, adds a ControlLeak candidate per pair.
 	LeakPairs [][2]grid.ValveID
 	// MaxDoubles, when > 0, adds up to that many stuck-at double-fault
@@ -103,7 +100,7 @@ type Signatures struct {
 // runs bit-parallel, 64 candidates per word.
 func Compile(ctx context.Context, cv *sim.CompiledVectors, opt Options) (*Signatures, error) {
 	cands := Candidates(cv.Simulator().Array(), opt)
-	m, err := cv.Responses(ctx, cands, opt.Workers, opt.Engine)
+	m, err := cv.Responses(ctx, cands, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

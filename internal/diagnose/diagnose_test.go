@@ -49,10 +49,7 @@ func closedLoop(t *testing.T, s *sim.Simulator, vecs []*sim.Vector, sess *diagno
 	t.Helper()
 	var probes []int
 	for {
-		v, err := sess.NextProbe(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := sess.NextProbe()
 		if v < 0 {
 			return probes
 		}
@@ -81,7 +78,7 @@ func TestOracleSingleFaultIsolation(t *testing.T) {
 		}
 		for c := 0; c < sg.NumCandidates(); c++ {
 			hidden := sg.Candidate(c)
-			sess := diagnose.NewSession(sg, diagnose.PlannerGreedy)
+			sess := diagnose.NewSession(sg)
 			closedLoop(t, s, vecs, sess, hidden)
 			if !sess.Done() {
 				t.Fatalf("%dx%d hidden %v: session not done after probing stopped", dim[0], dim[1], hidden)
@@ -119,8 +116,10 @@ func TestOracleSingleFaultIsolation(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkersAndEngines pins the satellite contract:
-// ambiguity sets and probe order are bit-identical for workers {1,2,4} and
-// for the word vs scalar signature build.
+// ambiguity sets and probe order are bit-identical for workers {1,2,4},
+// and the word-engine signature table matches the scalar simulator's
+// readings cell for cell (the sim package diff-tests the same engines on
+// random arrays).
 func TestDeterminismAcrossWorkersAndEngines(t *testing.T) {
 	s, vecs, cv, opt := testCase(t, 4, 4)
 	type outcome struct {
@@ -128,75 +127,34 @@ func TestDeterminismAcrossWorkersAndEngines(t *testing.T) {
 		alive  []int
 	}
 	var want []outcome
-	for _, engine := range []sim.CampaignEngine{sim.EngineScalar, sim.EngineBitParallel} {
-		for _, workers := range []int{1, 2, 4} {
-			o := opt
-			o.Engine = engine
-			o.Workers = workers
-			sg, err := diagnose.Compile(context.Background(), cv, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []outcome
-			for c := 0; c < sg.NumCandidates(); c += 7 {
-				sess := diagnose.NewSession(sg, diagnose.PlannerGreedy)
-				probes := closedLoop(t, s, vecs, sess, sg.Candidate(c))
-				got = append(got, outcome{probes: probes, alive: sess.Alive()})
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("engine=%v workers=%d: probe order or ambiguity sets diverge", engine, workers)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		o := opt
+		o.Workers = workers
+		sg, err := diagnose.Compile(context.Background(), cv, o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestILPPlannerIsolates runs the closed loop under the ILP planner for a
-// sample of hidden faults: it must isolate like the greedy planner does,
-// within the same probe bound, and agree on the final ambiguity set.
-func TestILPPlannerIsolates(t *testing.T) {
-	s, vecs, cv, opt := testCase(t, 4, 4)
-	sg, err := diagnose.Compile(context.Background(), cv, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < sg.NumCandidates(); c += 5 {
-		hidden := sg.Candidate(c)
-		greedy := diagnose.NewSession(sg, diagnose.PlannerGreedy)
-		closedLoop(t, s, vecs, greedy, hidden)
-		ilpSess := diagnose.NewSession(sg, diagnose.PlannerILP)
-		closedLoop(t, s, vecs, ilpSess, hidden)
-		if !ilpSess.Done() {
-			t.Fatalf("hidden %v: ILP session not done", hidden)
+		var got []outcome
+		for c := 0; c < sg.NumCandidates(); c += 7 {
+			sess := diagnose.NewSession(sg)
+			probes := closedLoop(t, s, vecs, sess, sg.Candidate(c))
+			got = append(got, outcome{probes: probes, alive: sess.Alive()})
 		}
-		if !reflect.DeepEqual(greedy.Alive(), ilpSess.Alive()) {
-			t.Fatalf("hidden %v: planners disagree on the final ambiguity set: %v vs %v",
-				hidden, greedy.Alive(), ilpSess.Alive())
+		if want == nil {
+			want = got
+			for c := 0; c < sg.NumCandidates(); c++ {
+				for v, vec := range vecs {
+					for j, r := range s.Readings(vec, sg.Candidate(c)) {
+						if sg.Expected(c, v, j) != r {
+							t.Fatalf("candidate %d vector %d sink %d: table %t, scalar simulator %t", c, v, j, !r, r)
+						}
+					}
+				}
+			}
+			continue
 		}
-	}
-}
-
-// TestILPPlannerDeterministic replays a few ILP closed loops and expects
-// identical probe sequences every time (warm starts must not leak
-// scheduling into the choice).
-func TestILPPlannerDeterministic(t *testing.T) {
-	s, vecs, cv, opt := testCase(t, 3, 3)
-	sg, err := diagnose.Compile(context.Background(), cv, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hidden := sg.Candidate(3)
-	var want []int
-	for rep := 0; rep < 3; rep++ {
-		sess := diagnose.NewSession(sg, diagnose.PlannerILP)
-		probes := closedLoop(t, s, vecs, sess, hidden)
-		if rep == 0 {
-			want = probes
-		} else if !reflect.DeepEqual(want, probes) {
-			t.Fatalf("rep %d: ILP probe order changed: %v vs %v", rep, want, probes)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: probe order or ambiguity sets diverge", workers)
 		}
 	}
 }
@@ -219,25 +177,22 @@ func TestPlanProbesDistinguishes(t *testing.T) {
 			wantWorst = len(cl)
 		}
 	}
-	for _, planner := range []diagnose.Planner{diagnose.PlannerGreedy, diagnose.PlannerILP} {
-		sess := diagnose.NewSession(sg, planner)
-		steps, err := sess.PlanProbes(context.Background(), 0)
-		if err != nil {
-			t.Fatal(err)
+	steps, err := diagnose.NewSession(sg).PlanProbes(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) == 0 || len(steps) > sg.Vectors() {
+		t.Fatalf("%d steps for %d vectors", len(steps), sg.Vectors())
+	}
+	last := 1 << 30
+	for _, st := range steps {
+		if st.WorstCase > last {
+			t.Fatalf("worst case grew: %+v", steps)
 		}
-		if len(steps) == 0 || len(steps) > sg.Vectors() {
-			t.Fatalf("planner %v: %d steps for %d vectors", planner, len(steps), sg.Vectors())
-		}
-		last := 1 << 30
-		for _, st := range steps {
-			if st.WorstCase > last {
-				t.Fatalf("planner %v: worst case grew: %+v", planner, steps)
-			}
-			last = st.WorstCase
-		}
-		if last != wantWorst {
-			t.Fatalf("planner %v: final worst case %d, want %d (largest signature class)", planner, last, wantWorst)
-		}
+		last = st.WorstCase
+	}
+	if last != wantWorst {
+		t.Fatalf("final worst case %d, want %d (largest signature class)", last, wantWorst)
 	}
 }
 
@@ -249,7 +204,7 @@ func TestFaultFreeStaysAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := diagnose.NewSession(sg, diagnose.PlannerGreedy)
+	sess := diagnose.NewSession(sg)
 	probes := closedLoop(t, s, vecs, sess, nil)
 	if len(probes) == 0 {
 		t.Fatal("no probes suggested for an unconstrained universe")
@@ -268,7 +223,7 @@ func TestObservationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := diagnose.NewSession(sg, diagnose.PlannerGreedy)
+	sess := diagnose.NewSession(sg)
 	if err := sess.Observe(-1, make([]bool, sg.Sinks())); err == nil {
 		t.Fatal("negative vector accepted")
 	}

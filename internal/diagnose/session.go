@@ -1,36 +1,13 @@
 // Session: the online Observe -> NextProbe loop, and the static probe-plan
 // refinement both the one-shot Diagnose call and the closed-loop harness
-// share. The greedy planner lives here; the ILP minimal-cover planner in
-// ilpcover.go plugs into the same loop.
+// share. Both plan greedily: the next probe is the unprobed vector that
+// most evenly splits the surviving ambiguity set (smallest largest block),
+// tie-broken by lowest vector index.
 package diagnose
 
 import (
 	"context"
 )
-
-// Planner selects how NextProbe picks the next vector.
-type Planner uint8
-
-const (
-	// PlannerGreedy picks the unprobed vector that most evenly splits the
-	// surviving ambiguity set (smallest largest-class), tie-broken by
-	// lowest vector index.
-	PlannerGreedy Planner = iota
-	// PlannerILP solves a minimal probe set-cover over the surviving set
-	// with the branch-and-bound core, warm-starting across rounds, and
-	// probes the lowest-indexed informative vector of the cover. Falls
-	// back to the greedy rule when the set is too large for the ILP or the
-	// solve does not complete — deterministically, since the fallback
-	// depends only on the set.
-	PlannerILP
-)
-
-func (p Planner) String() string {
-	if p == PlannerILP {
-		return "ilp"
-	}
-	return "greedy"
-}
 
 // Round records one observation: which vector was probed and the ambiguity
 // before and after narrowing.
@@ -53,24 +30,21 @@ type ProbeStep struct {
 // observations as they arrive, re-planning the next probe each round. Not
 // safe for concurrent use; the Signatures table it reads is.
 type Session struct {
-	sg      *Signatures
-	planner Planner
-	alive   []uint64
-	probed  []bool
-	rounds  []Round
-	sp      splitter
-	cover   *coverPlanner
+	sg     *Signatures
+	alive  []uint64
+	probed []bool
+	rounds []Round
+	sp     splitter
 }
 
 // NewSession starts a session with every candidate alive and no vector
 // probed.
-func NewSession(sg *Signatures, planner Planner) *Session {
+func NewSession(sg *Signatures) *Session {
 	return &Session{
-		sg:      sg,
-		planner: planner,
-		alive:   sg.NewSet(),
-		probed:  make([]bool, sg.Vectors()),
-		sp:      splitter{nWords: sg.nWords},
+		sg:     sg,
+		alive:  sg.NewSet(),
+		probed: make([]bool, sg.Vectors()),
+		sp:     splitter{nWords: sg.nWords},
 	}
 }
 
@@ -112,39 +86,19 @@ func (s *Session) Done() bool { return s.sg.Isolated(s.alive) }
 
 // NextProbe picks the vector to probe next, or -1 when no unprobed vector
 // can shrink the surviving set further (isolated, indistinguishable, or
-// inconsistent). The error is non-nil only for context cancellation inside
-// the ILP planner.
-func (s *Session) NextProbe(ctx context.Context) (int, error) {
+// inconsistent).
+func (s *Session) NextProbe() int {
 	if s.sg.Isolated(s.alive) {
-		return -1, nil
+		return -1
 	}
-	if s.planner == PlannerILP {
-		v, ok, err := s.nextProbeILP(ctx)
-		if err != nil {
-			return -1, err
-		}
-		if ok {
-			return v, nil
-		}
-	}
-	blocks := [][]uint64{s.alive}
-	return s.sg.bestSplit(blocks, s.probed, &s.sp), nil
+	return s.sg.bestSplit([][]uint64{s.alive}, s.probed, &s.sp)
 }
 
 // PlanProbes returns a static probe sequence for the current ambiguity set:
 // vectors that, once all observed, pin the set down to single signature
-// classes whatever the outcomes. The greedy planner orders by best
-// worst-case split; the ILP planner first solves for a minimal cover and
-// then orders within it. budget > 0 truncates the sequence.
+// classes whatever the outcomes, ordered by best worst-case split. budget
+// > 0 truncates the sequence.
 func (s *Session) PlanProbes(ctx context.Context, budget int) ([]ProbeStep, error) {
-	allowed := []uint64(nil) // nil: any unprobed vector
-	if s.planner == PlannerILP {
-		cover, err := s.coverVectors(ctx)
-		if err != nil {
-			return nil, err
-		}
-		allowed = cover
-	}
 	probed := append([]bool(nil), s.probed...)
 	blocks := [][]uint64{append([]uint64(nil), s.alive...)}
 	var steps []ProbeStep
@@ -152,13 +106,7 @@ func (s *Session) PlanProbes(ctx context.Context, budget int) ([]ProbeStep, erro
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
-		v := s.sg.bestSplitAllowed(blocks, probed, allowed, &s.sp)
-		if v < 0 && allowed != nil {
-			// The cover is exhausted (or stale vs the live set); finish
-			// splitting with any unprobed vector.
-			allowed = nil
-			v = s.sg.bestSplit(blocks, probed, &s.sp)
-		}
+		v := s.sg.bestSplit(blocks, probed, &s.sp)
 		if v < 0 {
 			break
 		}
@@ -202,18 +150,9 @@ func (sp *splitter) release(m []uint64) { sp.free = append(sp.free, m) }
 // the partition refined by its readings, tie-broken by lowest vector index;
 // -1 when no unprobed vector splits any block.
 func (sg *Signatures) bestSplit(blocks [][]uint64, probed []bool, sp *splitter) int {
-	return sg.bestSplitAllowed(blocks, probed, nil, sp)
-}
-
-// bestSplitAllowed is bestSplit restricted to the vectors of the allowed
-// bitset (nil allows all).
-func (sg *Signatures) bestSplitAllowed(blocks [][]uint64, probed []bool, allowed []uint64, sp *splitter) int {
 	best, bestMax := -1, int(^uint(0)>>1)
 	for v := 0; v < sg.Vectors(); v++ {
 		if probed[v] {
-			continue
-		}
-		if allowed != nil && allowed[v>>6]>>(uint(v)&63)&1 == 0 {
 			continue
 		}
 		maxSize, split := sg.refineScore(blocks, v, sp)

@@ -1,5 +1,5 @@
-// Package lp implements a dense bounded-variable simplex solver for linear
-// programs in the form
+// Package lp implements a bounded-variable revised simplex solver for
+// linear programs in the form
 //
 //	minimize    c·x
 //	subject to  A_i·x  {<=, =, >=}  b_i      for each row i
@@ -7,17 +7,24 @@
 //
 // The paper solves its test-generation models with a commercial ILP solver;
 // this package (together with package ilp, which adds branch-and-bound) is
-// the from-scratch, stdlib-only substitute. Instances produced by the
-// flow-path and cut-set formulations are small — a few hundred rows and
-// columns per 5x5 subblock — which a dense tableau handles comfortably.
+// the from-scratch, stdlib-only substitute.
+//
+// A Problem is built row by row; a Solver copies its constraint matrix
+// into sparse columns and keeps the basis inverse in product form, as an
+// eta file. factorize peels the triangular part of the basis first and
+// pivots the remaining bump by magnitude, every simplex pivot appends one
+// eta, and the file is rebuilt once its count or fill passes a budget.
+// The flow-path and cut-set formulations give small models — a few hundred
+// rows and columns per 5x5 subblock — with nearly triangular bases, so the
+// eta file stays close to the matrix's own sparsity.
 //
 // Variable bounds are handled natively by the simplex (nonbasic variables
 // rest at either bound and can flip without a basis change), so 0-1 models
 // need no explicit bound rows. A Solver owns reusable scratch state and
-// accepts a warm-start Basis: it refactorizes the tableau for that basis
-// under new bounds and repairs feasibility with a bounded dual simplex,
-// which is how branch-and-bound children re-solve in a handful of pivots
-// instead of a cold two-phase start.
+// accepts a warm-start Basis: it refactorizes for that basis under new
+// bounds and repairs feasibility with a bounded dual simplex, which is how
+// branch-and-bound children re-solve in a handful of pivots instead of a
+// cold two-phase start.
 //
 // The primal pivot rule is Dantzig's (most negative reduced cost) with an
 // automatic switch to Bland's rule after a stall threshold; the dual rule is

@@ -14,7 +14,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -45,16 +44,12 @@ type CampaignConfig struct {
 	LeakPairs [][2]grid.ValveID
 	// OnTrials, when non-nil, observes campaign progress: it receives
 	// strictly increasing completed-trial counts (roughly once per scheduled
-	// trial block). A campaign that completes — any engine, any worker
-	// count — always ends with a final call at (Trials, Trials); a
-	// cancelled campaign reports only the trials actually evaluated. It is
-	// invoked from worker goroutines under an internal lock, so it must not
-	// call back into the campaign and should return quickly.
+	// trial block). A campaign that completes — any worker count — always
+	// ends with a final call at (Trials, Trials); a cancelled campaign
+	// reports only the trials actually evaluated. It is invoked from worker
+	// goroutines under an internal lock, so it must not call back into the
+	// campaign and should return quickly.
 	OnTrials func(done, total int)
-	// Engine selects the trial-evaluation engine. The zero value
-	// (EngineAuto) uses the bit-parallel PPSFP engine; results are
-	// bit-identical across engines.
-	Engine CampaignEngine
 }
 
 // CampaignResult summarizes a campaign.
@@ -354,18 +349,6 @@ func (cv *CompiledVectors) DetectsBatch(ctx context.Context, faultSets [][]Fault
 	return out, nil
 }
 
-// detectsBatchScalar is the one-universe-at-a-time reference implementation
-// of DetectsBatch, kept for differential tests against the word engine.
-func (cv *CompiledVectors) detectsBatchScalar(faultSets [][]Fault) []bool {
-	sc := cv.s.getScratch()
-	defer cv.s.putScratch(sc)
-	out := make([]bool, len(faultSets))
-	for i, fs := range faultSets {
-		out[i] = cv.detectingVector(sc, fs) >= 0
-	}
-	return out
-}
-
 // RunCampaign injects cfg.NumFaults random faults per trial (stuck-at-0 or
 // stuck-at-1 on distinct Normal valves, plus control leaks if configured)
 // and counts how many trials the vector set detects. Trials are sharded
@@ -380,9 +363,9 @@ func (s *Simulator) RunCampaign(ctx context.Context, vectors []*Vector, cfg Camp
 // Cancelling ctx stops the campaign promptly: all workers drain, and the
 // partial result (Trials reflecting only the trials actually evaluated) is
 // returned together with ctx.Err(). A completed campaign is bit-identical
-// for any worker count and for either engine: every trial's fault draw
-// depends only on (Seed, trial index), and the bit-parallel engine
-// reproduces the scalar engine's per-trial first-detecting vector exactly.
+// for any worker count: every trial's fault draw depends only on
+// (Seed, trial index), and the bit-parallel engine reproduces the scalar
+// simulator's per-trial first-detecting vector exactly.
 func (cv *CompiledVectors) RunCampaign(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -390,13 +373,7 @@ func (cv *CompiledVectors) RunCampaign(ctx context.Context, cfg CampaignConfig) 
 	if cfg.Trials <= 0 {
 		return CampaignResult{Trials: cfg.Trials}, ctx.Err()
 	}
-	switch cfg.Engine {
-	case EngineAuto, EngineBitParallel:
-		return cv.runCampaignWords(ctx, cfg)
-	case EngineScalar:
-		return cv.runCampaignScalar(ctx, cfg)
-	}
-	return CampaignResult{}, fmt.Errorf("sim: unknown campaign engine %d", int(cfg.Engine))
+	return cv.runCampaignWords(ctx, cfg)
 }
 
 // escape is one undetected trial, recorded for the Escapes cap.
@@ -506,58 +483,9 @@ func campaignWorkerCount(cfg CampaignConfig, units int) int {
 	return workers
 }
 
-// runCampaignScalar evaluates one trial at a time (EngineScalar), the
-// differential reference for the bit-parallel engine.
-func (cv *CompiledVectors) runCampaignScalar(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
-	st := newCampaignState(cfg)
-	normal := cv.s.arr.NormalValves()
-	// Workers claim trial-index blocks from a shared counter. Each block is
-	// big enough to amortize the contended add, small enough to balance load
-	// at the tail (and to bound cancellation latency to one block).
-	const block = 32
-	worker := func() {
-		sc := cv.s.getScratch()
-		defer cv.s.putScratch(sc)
-		rng := rand.New(&splitmix64{})
-		fs := newFaultScratch(normal, cfg)
-		var det, sims int64
-		var local []escape
-		for ctx.Err() == nil {
-			start := int(st.next.Add(block)) - block
-			if start >= cfg.Trials {
-				break
-			}
-			end := start + block
-			if end > cfg.Trials {
-				end = cfg.Trials
-			}
-			for trial := start; trial < end; trial++ {
-				rng.Seed(trialSeed(cfg.Seed, trial))
-				faults := randomFaultsInto(rng, normal, cfg, fs)
-				if idx := cv.detectingVector(sc, faults); idx >= 0 {
-					det++
-					sims += int64(idx) + 1
-				} else {
-					sims += int64(len(cv.vecs))
-					if len(local) < st.maxEscapes {
-						// A worker's trials ascend, so its first maxEscapes
-						// escapes are a superset of its share of the global
-						// ones. Escapes outlive the scratch: copy.
-						local = append(local, escape{trial, append([]Fault(nil), faults...)})
-					}
-				}
-			}
-			st.completed.Add(int64(end - start))
-			st.report()
-		}
-		st.merge(det, sims, local)
-	}
-	return st.run(ctx, campaignWorkerCount(cfg, cfg.Trials), worker)
-}
-
 // runCampaignWords is the bit-parallel (PPSFP) engine: workers claim whole
 // 64-trial words, draw the word's fault universes with the same
-// (Seed, trial) SplitMix64 seeding as the scalar engine, and evaluate all
+// (Seed, trial) SplitMix64 seeding as the scalar reference, and evaluate all
 // 64 in one sweep per vector. The final partial word is the remainder
 // block; its unused lanes are masked out of the sweep.
 func (cv *CompiledVectors) runCampaignWords(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
@@ -595,7 +523,7 @@ func (cv *CompiledVectors) runCampaignWords(ctx context.Context, cfg CampaignCon
 					sims += int64(len(cv.vecs))
 					if len(local) < st.maxEscapes {
 						// Lanes ascend within a word and a worker's words
-						// ascend, so like the scalar engine its first
+						// ascend, so like the scalar reference its first
 						// maxEscapes escapes cover its share of the global
 						// cap. Escapes outlive the lane scratch: copy.
 						local = append(local, escape{start + lane, append([]Fault(nil), fb.lanes[lane]...)})

@@ -8,12 +8,14 @@
 // (vector, universe).
 //
 // Determinism: the word engine evaluates exactly the same per-universe
-// physics as the scalar engine — loadWord precomputes, per lane, the same
-// kind-guarded leak-then-stuck-at overlay applyFaults performs, and lane k
-// of the BFS word fixpoint equals the boolean BFS under lane k's edge set —
-// so first-detecting vector indices, and with them Detected, Sims and the
-// escape list, are bit-identical to the scalar engine. Trials map to
-// (word, lane) as trial = word*64 + lane; the final partial word is the
+// physics as the scalar simulator — loadWord precomputes, per lane, the
+// same kind-guarded leak-then-stuck-at overlay applyFaults performs, and
+// lane k of the BFS word fixpoint equals the boolean BFS under lane k's
+// edge set — so first-detecting vector indices, and with them Detected,
+// Sims and the escape list, are bit-identical to evaluating one universe
+// at a time. The one-at-a-time campaign, batch and response references
+// live in this package's test files as the differential oracle. Trials map
+// to (word, lane) as trial = word*64 + lane; the final partial word is the
 // remainder block, its unused lanes masked out.
 package sim
 
@@ -22,32 +24,6 @@ import (
 
 	"repro/internal/grid"
 )
-
-// CampaignEngine selects how RunCampaign evaluates trials.
-type CampaignEngine uint8
-
-const (
-	// EngineAuto picks the best engine (currently the bit-parallel one).
-	EngineAuto CampaignEngine = iota
-	// EngineBitParallel packs 64 trials' fault universes into uint64 lanes
-	// and propagates pressure for all of them per BFS pass (PPSFP).
-	EngineBitParallel
-	// EngineScalar evaluates one fault universe at a time; kept as the
-	// differential reference for the bit-parallel engine.
-	EngineScalar
-)
-
-func (e CampaignEngine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineBitParallel:
-		return "bit-parallel"
-	case EngineScalar:
-		return "scalar"
-	}
-	return "unknown"
-}
 
 // laneMask returns the mask of the first n lanes (n in [0, 64]).
 //
@@ -177,7 +153,7 @@ func (s *Simulator) loadWord(ws *wordScratch, faultsPerLane [][]Fault) {
 // compiled vectors and writes, per lane, the index of the first detecting
 // vector into ws.firstIdx (-1 when no vector detects). The sweep stops as
 // soon as every active lane has detected, so per-lane work matches the
-// scalar engine's first-detection early exit.
+// first-detection early exit of the scalar detectingVector.
 //
 //fpva:allocfree
 func (cv *CompiledVectors) sweepWord(ws *wordScratch, faultsPerLane [][]Fault, active uint64) {

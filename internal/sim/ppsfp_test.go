@@ -57,7 +57,7 @@ func randomCampaignCase(rng *rand.Rand) (*Simulator, []*Vector, CampaignConfig) 
 // TestCampaignEngineDifferential is the acceptance test for the PPSFP
 // engine: over many randomized arrays, vector sets, and fault mixes, the
 // bit-parallel campaign must produce a CampaignResult — Detected, Sims, and
-// the escape list — bit-identical to the scalar engine, for several worker
+// the escape list — bit-identical to the scalar reference, for several worker
 // counts each.
 func TestCampaignEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -65,23 +65,18 @@ func TestCampaignEngineDifferential(t *testing.T) {
 		s, vecs, cfg := randomCampaignCase(rng)
 		cfg.Trials = 65 + rng.Intn(140) // straddle word boundaries, vary remainder
 		scalarCfg := cfg
-		scalarCfg.Engine = EngineScalar
 		scalarCfg.Workers = 1
-		want := mustCampaign(t, s, vecs, scalarCfg)
+		want, err := s.Compile(vecs).runCampaignScalar(context.Background(), scalarCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 2, 4} {
 			wordCfg := cfg
-			wordCfg.Engine = EngineBitParallel
 			wordCfg.Workers = workers
 			got := mustCampaign(t, s, vecs, wordCfg)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("case %d (trials=%d faults=%d workers=%d): engines diverge:\nscalar: %+v\nwords:  %+v",
 					i, cfg.Trials, cfg.NumFaults, workers, want, got)
-			}
-			// EngineAuto must be the bit-parallel engine, not a third thing.
-			autoCfg := wordCfg
-			autoCfg.Engine = EngineAuto
-			if auto := mustCampaign(t, s, vecs, autoCfg); !reflect.DeepEqual(want, auto) {
-				t.Fatalf("case %d: EngineAuto diverges from scalar: %+v vs %+v", i, want, auto)
 			}
 		}
 	}
@@ -157,51 +152,42 @@ func TestDetectsBatchCancelTrim(t *testing.T) {
 	}
 }
 
-// TestCampaignOnTrialsFinalCall pins the progress contract on both engines:
-// reported counts are strictly increasing and a completed campaign always
-// ends with a call at exactly (Trials, Trials), regardless of worker count.
+// TestCampaignOnTrialsFinalCall pins the progress contract on the word
+// engine and the scalar reference: reported counts are strictly increasing
+// and a completed campaign always ends with a call at exactly
+// (Trials, Trials), regardless of worker count.
 func TestCampaignOnTrialsFinalCall(t *testing.T) {
 	a := grid.MustNewStandard(4, 4)
-	s := MustNew(a)
-	vecs := []*Vector{lPath(a), columnCut(a, 2)}
+	cv := MustNew(a).Compile([]*Vector{lPath(a), columnCut(a, 2)})
 	const trials = 333 // not a multiple of the word or block size
-	for _, engine := range []CampaignEngine{EngineScalar, EngineBitParallel} {
+	for _, engine := range []struct {
+		name string
+		run  func(context.Context, CampaignConfig) (CampaignResult, error)
+	}{{"scalar", cv.runCampaignScalar}, {"bit-parallel", cv.RunCampaign}} {
 		for _, workers := range []int{1, 4} {
 			var calls [][2]int
 			cfg := CampaignConfig{
-				Trials: trials, NumFaults: 2, Seed: 5, Workers: workers, Engine: engine,
+				Trials: trials, NumFaults: 2, Seed: 5, Workers: workers,
 				// OnTrials calls are serialized by the engine; no lock needed.
 				OnTrials: func(done, total int) { calls = append(calls, [2]int{done, total}) },
 			}
-			if _, err := s.RunCampaign(context.Background(), vecs, cfg); err != nil {
+			if _, err := engine.run(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 			if len(calls) == 0 {
-				t.Fatalf("engine=%v workers=%d: OnTrials never called", engine, workers)
+				t.Fatalf("engine=%s workers=%d: OnTrials never called", engine.name, workers)
 			}
 			prev := 0
 			for _, c := range calls {
 				if c[0] <= prev || c[1] != trials {
-					t.Fatalf("engine=%v workers=%d: non-monotonic or mis-totaled call %v after %d", engine, workers, c, prev)
+					t.Fatalf("engine=%s workers=%d: non-monotonic or mis-totaled call %v after %d", engine.name, workers, c, prev)
 				}
 				prev = c[0]
 			}
 			if last := calls[len(calls)-1]; last != [2]int{trials, trials} {
-				t.Fatalf("engine=%v workers=%d: final call %v, want (%d, %d)", engine, workers, last, trials, trials)
+				t.Fatalf("engine=%s workers=%d: final call %v, want (%d, %d)", engine.name, workers, last, trials, trials)
 			}
 		}
-	}
-}
-
-// TestCampaignUnknownEngine ensures an out-of-range engine value is an
-// error, not silently the default.
-func TestCampaignUnknownEngine(t *testing.T) {
-	a := grid.MustNewStandard(3, 3)
-	s := MustNew(a)
-	_, err := s.RunCampaign(context.Background(), []*Vector{lPath(a)},
-		CampaignConfig{Trials: 10, NumFaults: 1, Engine: CampaignEngine(99)})
-	if err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 

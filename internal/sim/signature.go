@@ -95,21 +95,16 @@ func (m *ResponseMatrix) SameSignature(a, b int) bool {
 // Responses evaluates every fault set against every compiled vector and
 // returns the full response matrix. Fault sets are packed 64 to a word and
 // evaluated bit-parallel; words are sharded across workers (<= 0 means
-// runtime.NumCPU()). EngineScalar selects the one-universe-at-a-time
-// reference; EngineAuto and EngineBitParallel use the word engine. The
-// result is bit-identical across engines and worker counts.
+// runtime.NumCPU()). The result is bit-identical for any worker count.
 //
 // Cancelling ctx stops the sweep promptly; unlike DetectsBatch no partial
 // matrix is returned — the result is nil together with ctx.Err().
-func (cv *CompiledVectors) Responses(ctx context.Context, faultSets [][]Fault, workers int, engine CampaignEngine) (*ResponseMatrix, error) {
+func (cv *CompiledVectors) Responses(ctx context.Context, faultSets [][]Fault, workers int) (*ResponseMatrix, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if engine == EngineScalar {
-		return cv.responsesScalar(faultSets), nil
 	}
 	m := newResponseMatrix(cv, len(faultSets))
 	if len(faultSets) == 0 {
@@ -291,30 +286,4 @@ func (cv *CompiledVectors) responsesWord(ws *wordScratch, faultsPerLane [][]Faul
 			m.rows[rowBase+j*m.wordsPerRow+word] = row
 		}
 	}
-}
-
-// responsesScalar is the one-universe-at-a-time reference implementation of
-// Responses, kept for differential tests against the word engine (and
-// selectable via EngineScalar for the same reason campaigns keep theirs).
-func (cv *CompiledVectors) responsesScalar(faultSets [][]Fault) *ResponseMatrix {
-	m := newResponseMatrix(cv, len(faultSets))
-	sc := cv.s.getScratch()
-	defer cv.s.putScratch(sc)
-	for set, fs := range faultSets {
-		w, bit := set>>6, uint64(1)<<(uint(set)&63)
-		for i, vec := range cv.vecs {
-			copy(sc.eff, cv.base[i])
-			readings := cv.golden[i]
-			if cv.s.applyFaults(sc.eff, vec, fs) {
-				readings = cv.s.readingsInto(sc, sc.out)
-			}
-			rowBase := (i * m.nSink) * m.wordsPerRow
-			for j, r := range readings {
-				if r {
-					m.rows[rowBase+j*m.wordsPerRow+w] |= bit
-				}
-			}
-		}
-	}
-	return m
 }

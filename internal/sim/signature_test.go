@@ -9,8 +9,8 @@ import (
 	"repro/internal/grid"
 )
 
-// TestResponsesMatchesReadings pins the response matrix — both engines —
-// against the ground truth of Simulator.Readings for every (set, vector,
+// TestResponsesMatchesReadings pins the response matrix — word engine and
+// scalar reference — against the ground truth of Simulator.Readings for every (set, vector,
 // sink) cell, over randomized arrays and fault mixes including leaks,
 // multi-fault sets, and the empty (fault-free) set.
 func TestResponsesMatchesReadings(t *testing.T) {
@@ -24,20 +24,20 @@ func TestResponsesMatchesReadings(t *testing.T) {
 		for j, n := 0, 70+rng.Intn(130); j < n; j++ {
 			sets = append(sets, append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...))
 		}
-		for _, engine := range []CampaignEngine{EngineScalar, EngineBitParallel} {
-			m, err := cv.Responses(context.Background(), sets, 2, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
+		words, err := cv.Responses(context.Background(), sets, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for engine, m := range []*ResponseMatrix{cv.responsesScalar(sets), words} {
 			if m.Sets() != len(sets) || m.Vectors() != len(vecs) {
-				t.Fatalf("case %d %v: matrix is %dx%d, want %dx%d", i, engine, m.Vectors(), m.Sets(), len(vecs), len(sets))
+				t.Fatalf("case %d engine %d: matrix is %dx%d, want %dx%d", i, engine, m.Vectors(), m.Sets(), len(vecs), len(sets))
 			}
 			for set, faults := range sets {
 				for v, vec := range vecs {
 					want := s.Readings(vec, faults)
 					for j, r := range want {
 						if got := m.Reading(set, v, j); got != r {
-							t.Fatalf("case %d %v: set %d (%v) vector %d sink %d: got %t want %t",
+							t.Fatalf("case %d engine %d: set %d (%v) vector %d sink %d: got %t want %t",
 								i, engine, set, faults, v, j, got, r)
 						}
 					}
@@ -62,12 +62,9 @@ func TestResponsesEngineDifferential(t *testing.T) {
 		for j, n := 0, 65+rng.Intn(140); j < n; j++ {
 			sets = append(sets, append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...))
 		}
-		want, err := cv.Responses(context.Background(), sets, 1, EngineScalar)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := cv.responsesScalar(sets)
 		for _, workers := range []int{1, 2, 4} {
-			got, err := cv.Responses(context.Background(), sets, workers, EngineBitParallel)
+			got, err := cv.Responses(context.Background(), sets, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +104,7 @@ func TestResponsesSameSignature(t *testing.T) {
 		{{Kind: StuckAt0, A: closed}},
 		{{Kind: StuckAt0, A: open[0]}}, // breaks the only path: detected
 	}
-	m, err := cv.Responses(context.Background(), sets, 1, EngineAuto)
+	m, err := cv.Responses(context.Background(), sets, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestResponsesCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := cv.Responses(ctx, sets, 2, EngineAuto)
+	m, err := cv.Responses(ctx, sets, 2)
 	if err == nil {
 		t.Fatal("cancelled Responses returned nil error")
 	}

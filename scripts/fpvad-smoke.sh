@@ -130,7 +130,7 @@ curl -fsSN "$base/v1/jobs/$cid/events" >/dev/null # wait for the campaign
 curl -fsS "$base/v1/jobs/$cid/result" | grep -q '"detected": 500'
 
 echo "== diagnose job: submit, stream ticks, decode the wire diagnosis"
-printf '{"kind":"diagnose","plan":%s,"diagnose":{"planner":"greedy"}}' \
+printf '{"kind":"diagnose","plan":%s,"diagnose":{}}' \
 	"$(cat "$tmp/local-plan.json")" >"$tmp/diag-req.json"
 curl -fsS -X POST --data-binary @"$tmp/diag-req.json" "$base/v1/jobs" >"$tmp/diag-submit.json"
 grep -q '"kind": "diagnose"' "$tmp/diag-submit.json"
