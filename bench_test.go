@@ -11,15 +11,20 @@ package repro
 //	BenchmarkDiagnose_*       adaptive fault diagnosis (signature compile
 //	                          + closed-loop probes-to-isolation)
 //	BenchmarkAblation_*       engine ablations called out in DESIGN.md
+//	BenchmarkEncodePlan_*     plan wire codec (the v1 JSON every solve,
+//	BenchmarkDecodePlan_*     store read-back and plan upload crosses)
 //
 // Vector counts and detection rates are attached as custom metrics so the
 // numbers the paper reports appear directly in the benchmark output.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
+	"repro/fpva"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/cutset"
@@ -414,3 +419,50 @@ func benchCutRepair(b *testing.B, noRepair bool) {
 	}
 	b.ReportMetric(float64(len(res.Cuts)), "cuts")
 }
+
+// planWire generates the Table I plan for name and returns it with its v1
+// wire bytes.
+func planWire(b *testing.B, name string) (*fpva.Plan, []byte) {
+	a, err := fpva.BenchmarkArray(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := fpva.Generate(context.Background(), a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fpva.EncodePlan(&buf, plan); err != nil {
+		b.Fatal(err)
+	}
+	return plan, buf.Bytes()
+}
+
+func benchEncodePlan(b *testing.B, name string) {
+	plan, wire := planWire(b, name)
+	b.SetBytes(int64(len(wire)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fpva.EncodePlan(io.Discard, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchDecodePlan(b *testing.B, name string) {
+	_, wire := planWire(b, name)
+	b.SetBytes(int64(len(wire)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fpva.DecodePlan(bytes.NewReader(wire)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Plan wire codec on the 10x10 (about 70 KB) and 15x15 (about 230 KB)
+// Table I plans.
+func BenchmarkEncodePlan_10x10(b *testing.B) { benchEncodePlan(b, "10x10") }
+func BenchmarkEncodePlan_15x15(b *testing.B) { benchEncodePlan(b, "15x15") }
+func BenchmarkDecodePlan_10x10(b *testing.B) { benchDecodePlan(b, "10x10") }
+func BenchmarkDecodePlan_15x15(b *testing.B) { benchDecodePlan(b, "15x15") }

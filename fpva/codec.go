@@ -9,6 +9,11 @@ package fpva
 // they know; any incompatible change to the payload bumps the version and
 // keeps the old decoder path alive for at least one release. Unknown JSON
 // fields are ignored on decode, so additive changes do not need a bump.
+//
+// The array and diagnosis envelopes go through encoding/json. The plan
+// envelope, the large and frequent one, has its own encoder and decoder in
+// plancodec.go; planEnvelope below is the schema both it and the tests'
+// encoding/json reference read.
 
 import (
 	"encoding/json"
@@ -171,18 +176,6 @@ type planEnvelope struct {
 	Stats         statsJSON    `json:"stats"`
 }
 
-func vectorsToJSON(vecs []*sim.Vector) []vectorJSON {
-	out := make([]vectorJSON, len(vecs))
-	for i, v := range vecs {
-		vj := vectorJSON{Name: v.Name, Kind: v.Kind.String(), Open: []int{}}
-		for _, id := range v.OpenValves() {
-			vj.Open = append(vj.Open, int(id))
-		}
-		out[i] = vj
-	}
-	return out
-}
-
 func vectorsFromJSON(g *grid.Array, vjs []vectorJSON) ([]*sim.Vector, error) {
 	kinds := map[string]sim.VectorKind{
 		sim.FlowPath.String(): sim.FlowPath,
@@ -210,17 +203,6 @@ func vectorsFromJSON(g *grid.Array, vjs []vectorJSON) ([]*sim.Vector, error) {
 	return out, nil
 }
 
-func idsToInts(ids []grid.ValveID) []int {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
 func intsToIDs(g *grid.Array, ints []int) ([]grid.ValveID, error) {
 	if len(ints) == 0 {
 		return nil, nil
@@ -236,43 +218,32 @@ func intsToIDs(g *grid.Array, ints []int) ([]grid.ValveID, error) {
 	return out, nil
 }
 
-// MarshalJSON renders the plan in the versioned JSON wire format.
-func (p *Plan) MarshalJSON() ([]byte, error) {
-	s := p.ts.Stats
-	env := planEnvelope{
-		Format:        PlanFormat,
-		Version:       CodecVersion,
-		Array:         grid.Marshal(p.a.g),
-		PathVectors:   vectorsToJSON(p.ts.PathVectors),
-		CutVectors:    vectorsToJSON(p.ts.CutVectors),
-		LeakVectors:   vectorsToJSON(p.ts.LeakVectors),
-		UncoveredPath: idsToInts(p.ts.UncoveredPath),
-		UncoveredCut:  idsToInts(p.ts.UncoveredCut),
-		Stats: statsJSON{
-			NV: s.NV, NP: s.NP, NC: s.NC, NL: s.NL, N: s.N,
-			TPNanos: s.TP.Nanoseconds(), TCNanos: s.TC.Nanoseconds(),
-			TLNanos: s.TL.Nanoseconds(), TNanos: s.T.Nanoseconds(),
-			PathILPNonOptimal: s.PathILPNonOptimal,
-			CutILPNonOptimal:  s.CutILPNonOptimal,
-			ILPSolves:         s.ILPSolves,
-			ILPNodes:          s.ILPNodes,
-			SolverWallNanos:   s.SolverWall.Nanoseconds(),
-		},
-	}
-	for _, lp := range p.ts.LeakPairs {
-		env.LeakPairs = append(env.LeakPairs, [2]int{int(lp[0]), int(lp[1])})
-	}
-	return json.Marshal(env)
-}
+// MarshalJSON renders the plan in the versioned JSON wire format, compact
+// as json.Marshal writes it.
+func (p *Plan) MarshalJSON() ([]byte, error) { return encodePlan(p, false), nil }
 
-// UnmarshalJSON decodes a plan from the versioned JSON wire format. The
-// decoded plan supports campaigns, verification and re-encoding; it does
-// not carry path/cut geometry, so rendering methods report an error.
+// UnmarshalJSON decodes a plan from the versioned JSON wire format into p,
+// replacing what p held, including the diagnosis signature table it
+// memoized for its old vectors. The decoded plan supports campaigns,
+// verification and re-encoding; it does not carry path/cut geometry, so
+// rendering methods report an error. As with json.Unmarshal, data must
+// hold one JSON value and nothing else.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var env planEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("fpva: decode plan: %w: %v", ErrWireSyntax, err)
+	n, err := parsePlan(data, &env)
+	if err == nil {
+		err = trailing(data[n:])
 	}
+	if err == nil {
+		err = env.decode(p)
+	}
+	return err
+}
+
+// decode checks a decoded envelope and, when it is valid, makes p the plan
+// it describes: the envelope first (ErrWireFormat, ErrWireVersion), then
+// the payload (ErrWirePayload).
+func (env *planEnvelope) decode(p *Plan) error {
 	if err := checkEnvelope(env.Format, PlanFormat, env.Version); err != nil {
 		return err
 	}
@@ -293,12 +264,17 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	if ts.LeakVectors, err = vectorsFromJSON(g, env.LeakVectors); err != nil {
 		return err
 	}
-	for _, lp := range env.LeakPairs {
-		ids, err := intsToIDs(g, []int{lp[0], lp[1]})
-		if err != nil {
-			return err
+	if len(env.LeakPairs) > 0 {
+		ts.LeakPairs = make([]leakage.Pair, len(env.LeakPairs))
+	}
+	for i, lp := range env.LeakPairs {
+		for k, id := range lp {
+			if id < 0 || id >= g.NumValves() {
+				return fmt.Errorf("fpva: %w: leak pair valve id %d outside [0,%d)",
+					ErrWirePayload, id, g.NumValves())
+			}
+			ts.LeakPairs[i][k] = grid.ValveID(id)
 		}
-		ts.LeakPairs = append(ts.LeakPairs, leakage.Pair{ids[0], ids[1]})
 	}
 	if ts.UncoveredPath, err = intsToIDs(g, env.UncoveredPath); err != nil {
 		return err
@@ -320,6 +296,9 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	p.a = &Array{g: g}
 	p.ts = ts
 	p.geometry = false
+	p.sigMu.Lock()
+	p.sigMemo = nil
+	p.sigMu.Unlock()
 	return nil
 }
 
@@ -516,18 +495,26 @@ func DecodeDiagnosis(r io.Reader) (*Diagnosis, error) {
 	return &d, nil
 }
 
-// EncodePlan writes the plan to w in the versioned JSON wire format.
+// EncodePlan writes the plan to w in the versioned JSON wire format,
+// indented, in one Write.
 func EncodePlan(w io.Writer, p *Plan) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+	if p == nil {
+		_, err := io.WriteString(w, "null\n")
+		return err
+	}
+	buf := wireBufs.Get().(*[]byte)
+	*buf = appendPlan((*buf)[:0], p, true)
+	_, err := w.Write(*buf)
+	wireBufs.Put(buf)
+	return err
 }
 
-// DecodePlan reads a plan in the versioned JSON wire format.
+// DecodePlan reads a plan in the versioned JSON wire format: r must hold
+// exactly one plan envelope, optionally followed by whitespace.
 func DecodePlan(r io.Reader) (*Plan, error) {
-	var p Plan
-	if err := decodeOne(r, &p, "decode plan"); err != nil {
-		return nil, err
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("fpva: decode plan: %w: %v", ErrWireSyntax, err)
 	}
-	return &p, nil
+	return decodePlan(data)
 }

@@ -125,7 +125,8 @@ func (c diagnoseConfig) internalOptions(p *Plan) diagnose.Options {
 
 // sigMemoEntry is the plan's one-slot signature memo: the last table
 // compiled, keyed by the options that shape the candidate universe
-// (workers never change the table).
+// (workers never change the table). It is not keyed by the vectors:
+// UnmarshalJSON, the one way a plan's vectors change, clears it.
 type sigMemoEntry struct {
 	noLeaks    bool
 	maxDoubles int

@@ -107,6 +107,66 @@ func TestDiagnoseFaultFree(t *testing.T) {
 	}
 }
 
+// TestUnmarshalResetsSignatureMemo: decoding a plan into a Plan that has
+// already diagnosed must not keep the signature table compiled for the
+// vectors it held before; the second diagnosis has to match a fresh
+// decode of the new plan.
+func TestUnmarshalResetsSignatureMemo(t *testing.T) {
+	ctx := context.Background()
+	wire := func(name string) []byte {
+		a, err := fpva.BenchmarkArray(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := fpva.Generate(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	small, big := wire("5x5"), wire("10x10")
+	var fresh fpva.Plan
+	if err := json.Unmarshal(big, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Diagnose(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reused fpva.Plan
+	if err := json.Unmarshal(small, &reused); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reused.Diagnose(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(big, &reused); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Diagnose(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Ambiguity) != len(want.Ambiguity) || len(got.Probes) != len(want.Probes) {
+		t.Fatalf("after re-decoding: %d candidates and %d probes, want %d and %d",
+			len(got.Ambiguity), len(got.Probes), len(want.Ambiguity), len(want.Probes))
+	}
+	var gotBytes, wantBytes bytes.Buffer
+	if err := fpva.EncodeDiagnosis(&gotBytes, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := fpva.EncodeDiagnosis(&wantBytes, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+		t.Fatal("after re-decoding, the diagnosis differs from a fresh decode's")
+	}
+}
+
 // TestDiagnoseSessionClosedLoop drives the interactive loop for every
 // stuck-at single fault on the array: the session must isolate the true
 // fault (up to signature equivalence) within the plan's vector budget.

@@ -17,7 +17,6 @@ package fpva
 // via WithWorkerCommand.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -130,7 +129,7 @@ func (s *Service) solveSubprocess(ctx context.Context, fl *flight, a *Array, cfg
 	if err != nil {
 		return nil, fmt.Errorf("fpva: generate: %w", err)
 	}
-	plan, err := DecodePlan(bytes.NewReader(resp))
+	plan, err := decodePlan(resp)
 	if err != nil {
 		return nil, fmt.Errorf("fpva: generate: worker returned an invalid plan: %w", err)
 	}
@@ -198,12 +197,7 @@ func solveWorkerJob(ctx context.Context, req []byte, emit func([]byte)) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{a: &Array{g: g}, ts: ts, geometry: true}
-	var buf bytes.Buffer
-	if err := EncodePlan(&buf, plan); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodePlan(&Plan{a: &Array{g: g}, ts: ts, geometry: true}, true), nil
 }
 
 // defaultWorkerCommand locates the stock fpvaworker binary: next to the

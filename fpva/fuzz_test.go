@@ -2,6 +2,7 @@ package fpva_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,7 +29,9 @@ func goldenSeed(t interface{ Fatal(...any) }, name string) string {
 }
 
 // FuzzDecodePlan: an arbitrary byte string either decodes to a plan whose
-// re-encoding is stable, or fails with a classified wire error.
+// re-encoding is stable, or fails with a classified wire error, and either
+// way the codec agrees with the encoding/json reference: the same outcome,
+// the same sentinel and the same re-encoded bytes.
 func FuzzDecodePlan(f *testing.F) {
 	f.Add(goldenSeed(f, "plan_v1.golden.json"))
 	f.Add(`{"format":"fpva.plan","version":1,"array":"fpva 2 2\n","pathVectors":[],"cutVectors":[],"leakVectors":[],"stats":{}}`)
@@ -39,7 +42,29 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add(`{"format":"fpva.plan","version":1,"array":"fpva 2 2\n"}{"trailing":true}`)
 	f.Add(`{`)
 	f.Add(``)
+	f.Add(`null`)
+	a, err := fpva.NewArray(2, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base, err := fpva.BaselinePlan(a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(compact))
+	text, err := json.Marshal(a.Text())
+	if err != nil {
+		f.Fatal(err)
+	}
+	head := `{"format":"fpva.plan","version":1,"array":` + string(text)
+	f.Add(head + `,"LEAKPAIRS":[[1],[2,3,4],null],"stats":{"n":-0,"t_ns":1e3}}`)
+	f.Add(head + `,"pathVectors":[{"name":"<\u2028\ud800>","kind":"flow-path","open":[1,2,3],"open":[4,null]}],"pathVectors":[{}]}`)
 	f.Fuzz(func(t *testing.T, data string) {
+		fpva.AssertPlanMatchesOracle(t, []byte(data))
 		p, err := fpva.DecodePlan(strings.NewReader(data))
 		if err != nil {
 			if !isWireError(err) {

@@ -1,7 +1,6 @@
 package fpva
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -279,15 +278,12 @@ func (j *Job) PlanBytes() ([]byte, error) {
 	if wire != nil {
 		return wire, nil
 	}
-	var buf bytes.Buffer
-	if err := EncodePlan(&buf, plan); err != nil {
-		return nil, err
-	}
+	enc := encodePlan(plan, true)
 	// Memoize the fallback encoding: the plan is immutable, so later
 	// fetches (fpvad /plan, /result) reuse these bytes too.
 	j.mu.Lock()
 	if j.wire == nil {
-		j.wire = buf.Bytes()
+		j.wire = enc
 	}
 	wire = j.wire
 	j.mu.Unlock()

@@ -1,7 +1,6 @@
 package fpva
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -952,7 +951,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 	// flight first, so the disk sees one read however many clients ask.
 	if s.store != nil {
 		if wire, ok := s.store.Get(key); ok {
-			if plan, derr := DecodePlan(bytes.NewReader(wire)); derr == nil {
+			if plan, derr := decodePlan(wire); derr == nil {
 				s.mu.Lock()
 				if s.cache != nil {
 					s.cache.put(key, plan, wire, nil)
@@ -1020,10 +1019,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 		// Job.PlanBytes, and fpvad's /plan handler all serve them without
 		// re-encoding.
 		if s.cache != nil || s.store != nil {
-			var buf bytes.Buffer
-			if encErr := EncodePlan(&buf, plan); encErr == nil {
-				fl.wire = buf.Bytes()
-			}
+			fl.wire = encodePlan(plan, true)
 		}
 	}
 	wall := time.Since(t0)

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -408,6 +409,30 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := ParseString(text); err == nil {
 			t.Errorf("%s: want error", name)
+		}
+	}
+}
+
+// TestParseHeaderBoundsAllocation: the header cannot make Parse allocate
+// more than the matrix that follows it; dimensions past int range are an
+// error, not a panic.
+func TestParseHeaderBoundsAllocation(t *testing.T) {
+	for _, text := range []string{
+		"fpva 20000 20000\n",
+		"fpva 2 2000000\n+X+X+\nS.o.X\n+o+o+\nX.o.M\n+X+X+\n",
+		"fpva 4611686018427387904 1\n",
+		"fpva 1 9223372036854775807\n+X+\nS.M\n+X+\n",
+		"fpva 3037000500 3037000500\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseString(text)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%q: want error", text)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%q: allocated %d bytes", text, n)
 		}
 	}
 }

@@ -94,11 +94,10 @@ func Parse(r io.Reader) (*Array, error) {
 	if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "fpva %d %d", &nr, &nc); err != nil {
 		return nil, fmt.Errorf("grid: bad header %q: %v", sc.Text(), err)
 	}
-	a, err := New(nr, nc)
-	if err != nil {
-		return nil, err
+	if nr < 1 || nc < 1 {
+		return nil, fmt.Errorf("grid: dimensions %dx%d out of range", nr, nc)
 	}
-	rows := make([]string, 0, 2*nr+1)
+	var rows []string
 	for sc.Scan() {
 		line := strings.TrimRight(sc.Text(), " \t\r")
 		if line == "" && len(rows) == 2*nr+1 {
@@ -109,8 +108,22 @@ func Parse(r io.Reader) (*Array, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(rows) < 2*nr+1 {
+	// Check the matrix against the header before allocating the array, so
+	// the allocation is bounded by the input: a header alone must not
+	// allocate (or, past int range, panic on) an arbitrarily large array.
+	// The widths are the ones the passes below read: an edge row needs its
+	// last vertical valve, a cell row its last horizontal one.
+	if nr > (len(rows)-1)/2 {
 		return nil, fmt.Errorf("grid: want %d matrix rows, got %d", 2*nr+1, len(rows))
+	}
+	for gr, row := range rows[:2*nr+1] {
+		if gr%2 == 0 && nc > len(row)/2 || gr%2 == 1 && nc > (len(row)-1)/2 {
+			return nil, fmt.Errorf("grid: matrix row %d too short", gr)
+		}
+	}
+	a, err := New(nr, nc)
+	if err != nil {
+		return nil, err
 	}
 	nsrc, nsink := 0, 0
 	setEdge := func(id ValveID, ch byte, gr, gc int) error {
