@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: all build test check check-imports lint fmt vet bench bench-smoke bench-json bench-diff bench-ci fuzz-smoke smoke-daemon chaos clean
+.PHONY: all build test check check-imports check-fpvaload lint fmt vet bench bench-smoke bench-json bench-diff bench-ci fuzz-smoke smoke-daemon chaos clean
 
 # Where `make bench-json` records the benchmark suite (bumped per PR so the
 # repo keeps its performance trajectory).
-BENCH_OUT ?= BENCH_pr14.json
+BENCH_OUT ?= BENCH_pr15.json
 # The previous recording, for `make bench-diff`.
-BENCH_PREV ?= BENCH_pr9.json
+BENCH_PREV ?= BENCH_pr14.json
 # The committed baseline `make bench-ci` gates against. It has its own
 # variable so that bumping BENCH_OUT does not move the CI gate.
 BENCH_BASE ?= BENCH_pr9.json
@@ -39,10 +39,16 @@ lint:
 check-imports:
 	$(GO) run ./cmd/fpvalint -vet=false -only apiboundary ./...
 
+# The benchmark (cmd/fpvaload) is a module of its own, so build, test and
+# lint above skip it. Vet it and run its short tests here, so a change to
+# the public API cannot break the benchmark unnoticed.
+check-fpvaload:
+	cd cmd/fpvaload && $(GO) vet . && $(GO) test -short .
+
 # Full local gate: formatting, static analysis (vet + fpvalint), tests,
-# and a one-shot campaign benchmark smoke so the Sec. IV engine is
-# exercised end to end.
-check: fmt lint test bench-smoke
+# the benchmark module, and a one-shot campaign benchmark smoke so the
+# Sec. IV engine is exercised end to end.
+check: fmt lint test check-fpvaload bench-smoke
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench Campaign -benchtime 1x .
@@ -51,11 +57,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Record the benchmarks of every package as test2json lines so the repo
-# carries its own performance trajectory (see EXPERIMENTS.md). No two
-# packages share a benchmark name, so scripts/benchdiff.go can key rows by
-# name alone.
+# carries its own performance trajectory (see EXPERIMENTS.md). The first
+# line is a test2json output event naming the host: core count,
+# GOMAXPROCS and CPU model. No two packages share a benchmark name, so
+# scripts/benchdiff.go can key rows by name alone.
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -json ./... > $(BENCH_OUT)
+	@printf '{"Action":"output","Output":"host: nproc=%s GOMAXPROCS=%s cpu=%s\\n"}\n' \
+		"$$(nproc)" "$${GOMAXPROCS:-$$(nproc)}" \
+		"$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench . -benchmem -json ./... >> $(BENCH_OUT)
 
 # Per-benchmark ns/op and allocs/op deltas between two recordings.
 bench-diff:
@@ -74,9 +84,9 @@ bench-ci:
 		-benchtime 0.3s -benchmem -json . > /tmp/bench-ci.json
 	$(GO) run scripts/benchdiff.go -max-ns-regress 30 $(BENCH_BASE) /tmp/bench-ci.json
 
-# Short runs of every fuzz target: the solver stack, the wire codecs and
-# the daemon's submit decoding. Seeds and the committed corpus under
-# testdata/fuzz always run as part of `go test`.
+# Short runs of every fuzz target: the solver stack, the wire codecs, the
+# daemon's submit decoding and the worker frame reader. Seeds and the
+# committed corpus under testdata/fuzz always run as part of `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzModelSolve -fuzztime 10s ./internal/ilp
@@ -84,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDiagnosis -fuzztime 10s ./fpva
 	$(GO) test -run '^$$' -fuzz FuzzDecodeArray -fuzztime 10s ./fpva
 	$(GO) test -run '^$$' -fuzz FuzzSubmit -fuzztime 10s ./cmd/fpvad
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/workerpool
 
 # End-to-end daemon smoke: boot fpvad, submit a 4x4 generate job, stream
 # progress, fetch the plan, prove the upload round trip is bit-identical,

@@ -8,8 +8,8 @@ package repro
 //	BenchmarkCampaign_*       Sec. IV   (random fault injection, 1..5 faults)
 //	BenchmarkBaseline_*       Sec. IV   (one-valve-at-a-time comparison)
 //	BenchmarkTwoFaultExhaustive  Sec. III guarantee (exhaustive pairs)
-//	BenchmarkDiagnose_*       adaptive fault diagnosis (signature compile
-//	                          + closed-loop probes-to-isolation)
+//	BenchmarkDiagnose_*       adaptive fault diagnosis (signature compile,
+//	                          closed-loop probes-to-isolation, static plan)
 //	BenchmarkAblation_*       engine ablations called out in DESIGN.md
 //	BenchmarkEncodePlan_*     plan wire codec (the v1 JSON every solve,
 //	BenchmarkDecodePlan_*     store read-back and plan upload crosses)
@@ -309,6 +309,42 @@ func benchDiagnoseClosedLoop(b *testing.B, name string) {
 
 func BenchmarkDiagnose_ClosedLoop_5x5(b *testing.B)   { benchDiagnoseClosedLoop(b, "5x5") }
 func BenchmarkDiagnose_ClosedLoop_10x10(b *testing.B) { benchDiagnoseClosedLoop(b, "10x10") }
+
+// benchDiagnosePlanProbes times the static probe plan of a one-shot
+// diagnosis, as fpvad serves it: three observations of a hidden single
+// stuck-at fault (read off the table, on vectors spread over the plan),
+// then a plan with no budget.
+func benchDiagnosePlanProbes(b *testing.B, name string) {
+	ts, cv, opt := benchDiagnoseSetup(b, name)
+	sg, err := diagnose.Compile(context.Background(), cv, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hidden := 1 + len(sim.AllSingleFaults(ts.Array))/2
+	sess := diagnose.NewSession(sg)
+	readings := make([]bool, sg.Sinks())
+	for _, v := range []int{0, sg.Vectors() / 3, 2 * sg.Vectors() / 3} {
+		for j := range readings {
+			readings[j] = sg.Expected(hidden, v, j)
+		}
+		if err := sess.Observe(v, readings); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var steps []diagnose.ProbeStep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if steps, err = sess.PlanProbes(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(steps)), "steps")
+	b.ReportMetric(float64(sess.AliveCount()), "alive")
+}
+
+func BenchmarkDiagnose_PlanProbes_10x10(b *testing.B) { benchDiagnosePlanProbes(b, "10x10") }
+func BenchmarkDiagnose_PlanProbes_15x15(b *testing.B) { benchDiagnosePlanProbes(b, "15x15") }
 
 // Ablation: the serpentine engine versus the paper's iterative ILP model on
 // the same 4x4 array — same coverage, different path counts and runtime

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,4 +178,73 @@ func TestTable1Renders(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", out)
+}
+
+// TestTable1Coverage pins what the Table I plans detect. The single-fault
+// escapes are exactly the faults the generator declares it cannot cover:
+// stuck-at-0 on UncoveredPath valves and stuck-at-1 on UncoveredCut valves
+// (only 30x30 declares any). A seeded k = 1..5 campaign at a reduced trial
+// count detects every trial on 5x5-20x20, and every 30x30 escape holds a
+// fault on a declared valve. EXPERIMENTS.md states the 30x30 gap.
+func TestTable1Coverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all five arrays")
+	}
+	const trials = 2000
+	for _, c := range Table1Cases() {
+		ts, err := Row(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := map[sim.Fault]bool{}
+		for _, v := range ts.UncoveredPath {
+			declared[sim.Fault{Kind: sim.StuckAt0, A: v}] = true
+		}
+		for _, v := range ts.UncoveredCut {
+			declared[sim.Fault{Kind: sim.StuckAt1, A: v}] = true
+		}
+		if len(declared) > 0 && c.Name != "30x30" {
+			t.Errorf("%s: declares uncovered valves %v / %v", c.Name, ts.UncoveredPath, ts.UncoveredCut)
+		}
+		escaped, err := ts.VerifySingleFaults(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[sim.Fault]bool{}
+		for _, f := range escaped {
+			got[f] = true
+		}
+		if !reflect.DeepEqual(got, declared) {
+			t.Errorf("%s: single-fault escapes %v, declared uncovered %v", c.Name, escaped, declared)
+		}
+
+		cv, err := ts.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDeclared := func(fs []sim.Fault) bool {
+			for _, f := range fs {
+				if f.Kind != sim.ControlLeak && (declared[sim.Fault{Kind: sim.StuckAt0, A: f.A}] || declared[sim.Fault{Kind: sim.StuckAt1, A: f.A}]) {
+					return true
+				}
+			}
+			return false
+		}
+		for k := 1; k <= 5; k++ {
+			res, err := cv.RunCampaign(context.Background(), sim.CampaignConfig{
+				Trials: trials, NumFaults: k, Seed: int64(k), MaxEscapes: trials,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Name != "30x30" && res.Detected != res.Trials {
+				t.Errorf("%s k=%d: %d of %d detected; escapes %v", c.Name, k, res.Detected, res.Trials, res.Escapes)
+			}
+			for _, fs := range res.Escapes {
+				if !onDeclared(fs) {
+					t.Errorf("%s k=%d: escape %v has no fault on a declared uncovered valve", c.Name, k, fs)
+				}
+			}
+		}
+	}
 }

@@ -15,7 +15,12 @@
 //     readings partition the survivors and probes the best one. An exact
 //     ILP probe cover was tried and removed: it never needed fewer probes
 //     on the Table I arrays and ran at least 70x slower
-//     (EXPERIMENTS.md, "Probes-to-isolation").
+//     (EXPERIMENTS.md, "Probes-to-isolation");
+//   - the static probe plan repeats that choice over a partition of the
+//     survivors by incremental refinement: each block is scored once,
+//     when it is created, and blocks no vector can split any more only
+//     keep their size, as a floor. The re-partitioning planner it replaced
+//     is the test oracle (oracle_test.go).
 //
 // Candidate 0 is always the fault-free universe, so "the chip is actually
 // healthy" and "this fault is undetectable" fall out of the same machinery:

@@ -34,7 +34,7 @@ type Session struct {
 	alive  []uint64
 	probed []bool
 	rounds []Round
-	sp     splitter
+	masks  []uint64 // scratch of halve: two masks per sink
 }
 
 // NewSession starts a session with every candidate alive and no vector
@@ -44,7 +44,7 @@ func NewSession(sg *Signatures) *Session {
 		sg:     sg,
 		alive:  sg.NewSet(),
 		probed: make([]bool, sg.Vectors()),
-		sp:     splitter{nWords: sg.nWords},
+		masks:  make([]uint64, 2*sg.Sinks()*sg.nWords),
 	}
 }
 
@@ -91,153 +91,230 @@ func (s *Session) NextProbe() int {
 	if s.sg.Isolated(s.alive) {
 		return -1
 	}
-	return s.sg.bestSplit([][]uint64{s.alive}, s.probed, &s.sp)
+	lo, words := span(s.alive)
+	size := Count(words)
+	best, bestLargest := -1, size
+	for v, done := range s.probed {
+		if done {
+			continue
+		}
+		if l := s.sg.largestPart(words, lo, size, v, 0, s.masks); l < bestLargest {
+			best, bestLargest = v, l
+		}
+	}
+	return best
 }
 
 // PlanProbes returns a static probe sequence for the current ambiguity set:
 // vectors that, once all observed, pin the set down to single signature
 // classes whatever the outcomes, ordered by best worst-case split. budget
 // > 0 truncates the sequence.
+//
+// The plan refines a partition of the set one vector at a time, and scores
+// each block once, when it is created: the largest part every unprobed
+// vector would cut it into. A block that no unprobed vector can split is
+// frozen, and only its size is kept, as a floor under every later worst
+// case. A step reads the cached scores of the blocks still in play and
+// scores the blocks its vector split; nothing else is re-partitioned.
 func (s *Session) PlanProbes(ctx context.Context, budget int) ([]ProbeStep, error) {
-	probed := append([]bool(nil), s.probed...)
-	blocks := [][]uint64{append([]uint64(nil), s.alive...)}
+	p := newPlanner(s)
 	var steps []ProbeStep
 	for budget <= 0 || len(steps) < budget {
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
-		v := s.sg.bestSplit(blocks, probed, &s.sp)
+		v := p.pick()
 		if v < 0 {
 			break
 		}
-		probed[v] = true
-		blocks = s.sg.refine(blocks, v)
-		maxSize, n := 0, 0
-		for _, b := range blocks {
-			if c := Count(b); c > 0 {
-				n++
-				if c > maxSize {
-					maxSize = c
-				}
-			}
-		}
-		steps = append(steps, ProbeStep{Vector: v, WorstCase: maxSize, Classes: n})
+		steps = append(steps, p.refine(v))
 	}
 	return steps, nil
 }
 
-// splitter is the reusable mask scratch of partition refinement.
-type splitter struct {
-	nWords    int
-	cur, next [][]uint64
-	free      [][]uint64
+// block is one cell of the partition PlanProbes refines: size members, with
+// words holding the candidate bitset's words from lo on, and largest[v] the
+// largest part vector v cuts it into (v splits it iff that is below size).
+type block struct {
+	lo, size int
+	words    []uint64
+	largest  []int32
 }
 
-func (sp *splitter) alloc(src []uint64) []uint64 {
-	var m []uint64
-	if n := len(sp.free); n > 0 {
-		m, sp.free = sp.free[n-1], sp.free[:n-1]
-	} else {
-		m = make([]uint64, sp.nWords)
+// planner is the state of one PlanProbes call.
+type planner struct {
+	sg     *Signatures
+	masks  []uint64
+	probed []bool
+	// live holds the blocks some unprobed vector can still split; frozen
+	// counts the others, and floor is the largest of them.
+	live, spare   []block
+	frozen, floor int
+	parts         []block
+	// Per-vector scratch of pick.
+	worst []int
+	split []bool
+}
+
+// newPlanner starts a plan from the session's surviving set and probed
+// vectors.
+func newPlanner(s *Session) *planner {
+	n := s.sg.Vectors()
+	p := &planner{
+		sg:     s.sg,
+		masks:  s.masks,
+		probed: append([]bool(nil), s.probed...),
+		worst:  make([]int, n),
+		split:  make([]bool, n),
 	}
-	copy(m, src)
-	return m
+	lo, words := span(s.alive)
+	if root := (block{lo: lo, size: Count(words), words: words}); p.score(&root, nil) {
+		p.live = append(p.live, root)
+	}
+	return p
 }
 
-func (sp *splitter) release(m []uint64) { sp.free = append(sp.free, m) }
-
-// bestSplit picks the unprobed vector that minimizes the largest block of
-// the partition refined by its readings, tie-broken by lowest vector index;
-// -1 when no unprobed vector splits any block.
-func (sg *Signatures) bestSplit(blocks [][]uint64, probed []bool, sp *splitter) int {
-	best, bestMax := -1, int(^uint(0)>>1)
-	for v := 0; v < sg.Vectors(); v++ {
-		if probed[v] {
-			continue
+// pick returns the unprobed vector that leaves the smallest largest block,
+// lowest index on ties; -1 when no unprobed vector splits a live block.
+func (p *planner) pick() int {
+	for v := range p.worst {
+		p.worst[v], p.split[v] = p.floor, false
+	}
+	for _, b := range p.live {
+		for v, l := range b.largest {
+			if int(l) > p.worst[v] {
+				p.worst[v] = int(l)
+			}
+			if int(l) < b.size {
+				p.split[v] = true
+			}
 		}
-		maxSize, split := sg.refineScore(blocks, v, sp)
-		if split && maxSize < bestMax {
-			best, bestMax = v, maxSize
+	}
+	best := -1
+	for v, done := range p.probed {
+		if !done && p.split[v] && (best < 0 || p.worst[v] < p.worst[best]) {
+			best = v
 		}
 	}
 	return best
 }
 
-// refineScore computes the largest block of the partition refined by vector
-// v's readings, and whether v splits any block at all.
-func (sg *Signatures) refineScore(blocks [][]uint64, v int, sp *splitter) (int, bool) {
-	maxSize, split := 0, false
-	for _, b := range blocks {
-		if c := Count(b); c <= 1 {
-			if c > maxSize {
-				maxSize = c
-			}
+// refine probes vector v: it cuts every live block v splits, scores the
+// parts, and returns the step's worst case and class count. A block's parts
+// are scored once it is cut through, as cut and score share the masks.
+func (p *planner) refine(v int) ProbeStep {
+	p.probed[v] = true
+	next := p.spare[:0]
+	for i := range p.live {
+		b := &p.live[i]
+		if int(b.largest[v]) == b.size {
+			next = append(next, *b)
 			continue
 		}
-		sp.cur = append(sp.cur[:0], sp.alloc(b))
-		for j := 0; j < sg.Sinks(); j++ {
-			row := sg.m.Row(v, j)
-			sp.next = sp.next[:0]
-			for _, m := range sp.cur {
-				m0 := sp.alloc(m)
-				n1, n0 := 0, 0
-				for w := range m {
-					m[w] &= row[w]
-					m0[w] &^= row[w]
-					n1 += popcnt(m[w])
-					n0 += popcnt(m0[w])
-				}
-				if n1 > 0 {
-					sp.next = append(sp.next, m)
-				} else {
-					sp.release(m)
-				}
-				if n0 > 0 {
-					sp.next = append(sp.next, m0)
-				} else {
-					sp.release(m0)
-				}
+		p.parts = p.parts[:0]
+		p.cut(b.words, b.lo, b.size, v, 0)
+		for _, part := range p.parts {
+			if p.score(&part, b) {
+				next = append(next, part)
 			}
-			sp.cur, sp.next = sp.next, sp.cur
 		}
-		if len(sp.cur) > 1 {
-			split = true
-		}
-		for _, m := range sp.cur {
-			if c := Count(m); c > maxSize {
-				maxSize = c
-			}
-			sp.release(m)
-		}
-		sp.cur = sp.cur[:0]
 	}
-	return maxSize, split
+	p.live, p.spare = next, p.live
+	worst := p.floor
+	for _, b := range p.live {
+		worst = max(worst, b.size)
+	}
+	return ProbeStep{Vector: v, WorstCase: worst, Classes: p.frozen + len(p.live)}
 }
 
-// refine materializes the partition refinement of blocks by vector v.
-func (sg *Signatures) refine(blocks [][]uint64, v int) [][]uint64 {
-	cur := blocks
-	for j := 0; j < sg.Sinks(); j++ {
-		row := sg.m.Row(v, j)
-		next := make([][]uint64, 0, len(cur)*2)
-		for _, b := range cur {
-			b1 := make([]uint64, len(b))
-			b0 := make([]uint64, len(b))
-			n1, n0 := 0, 0
-			for w := range b {
-				b1[w] = b[w] & row[w]
-				b0[w] = b[w] &^ row[w]
-				n1 += popcnt(b1[w])
-				n0 += popcnt(b0[w])
-			}
-			if n1 > 0 {
-				next = append(next, b1)
-			}
-			if n0 > 0 {
-				next = append(next, b0)
-			}
-		}
-		cur = next
+// cut appends to p.parts the non-empty parts that vector v's readings at
+// sinks j.. cut the mask m (size members, words lo..) into, each trimmed to
+// its own word span.
+func (p *planner) cut(m []uint64, lo, size, v, j int) {
+	if j == p.sg.Sinks() {
+		first, words := span(m)
+		p.parts = append(p.parts, block{lo: lo + first, size: size, words: append([]uint64(nil), words...)})
+		return
 	}
-	return cur
+	m1, m0, n1 := p.sg.halve(m, lo, v, j, p.masks)
+	if n1 > 0 {
+		p.cut(m1, lo, n1, v, j+1)
+	}
+	if n1 < size {
+		p.cut(m0, lo, size-n1, v, j+1)
+	}
+}
+
+// score fills b.largest for every unprobed vector and reports whether one
+// of them splits b; otherwise b is frozen. parent is the block b was cut
+// from, nil for the root: a vector that left the parent whole leaves each
+// of its parts whole, so only the parent's splitters are scored.
+func (p *planner) score(b *block, parent *block) bool {
+	if b.size >= 2 {
+		b.largest = make([]int32, len(p.probed))
+		live := false
+		for v, done := range p.probed {
+			if done {
+				continue
+			}
+			l := b.size
+			if parent == nil || int(parent.largest[v]) < parent.size {
+				l = p.sg.largestPart(b.words, b.lo, b.size, v, 0, p.masks)
+			}
+			b.largest[v] = int32(l)
+			live = live || l < b.size
+		}
+		if live {
+			return true
+		}
+	}
+	if b.size > 0 {
+		p.frozen++
+		p.floor = max(p.floor, b.size)
+	}
+	return false
+}
+
+// halve splits the mask m (words lo..) by vector v's reading at sink j:
+// m1 holds the members that read pressure and m0 the rest, both in sink
+// j's pair of scratch masks, and n1 counts m1.
+func (sg *Signatures) halve(m []uint64, lo, v, j int, masks []uint64) (m1, m0 []uint64, n1 int) {
+	row := sg.m.Row(v, j)[lo : lo+len(m)]
+	k := 2 * j * sg.nWords
+	m1 = masks[k : k+len(m)]
+	m0 = masks[k+sg.nWords : k+sg.nWords+len(m)]
+	for w, x := range m {
+		m1[w], m0[w] = x&row[w], x&^row[w]
+		n1 += popcnt(m1[w])
+	}
+	return m1, m0, n1
+}
+
+// largestPart returns the size of the largest part that vector v's
+// readings at sinks j.. cut the mask m (size members, words lo..) into.
+// Parts are materialized at every sink but the last, which only counts.
+func (sg *Signatures) largestPart(m []uint64, lo, size, v, j int, masks []uint64) int {
+	if j == sg.Sinks()-1 {
+		row := sg.m.Row(v, j)[lo : lo+len(m)]
+		n1 := 0
+		for w, x := range m {
+			n1 += popcnt(x & row[w])
+		}
+		return max(n1, size-n1)
+	}
+	m1, m0, n1 := sg.halve(m, lo, v, j, masks)
+	return max(sg.largestPart(m1, lo, n1, v, j+1, masks), sg.largestPart(m0, lo, size-n1, v, j+1, masks))
+}
+
+// span trims set to the words from its first to its last non-zero one and
+// returns the index of the first; an empty set gives no words.
+func span(set []uint64) (int, []uint64) {
+	first, last := 0, len(set)
+	for first < last && set[first] == 0 {
+		first++
+	}
+	for last > first && set[last-1] == 0 {
+		last--
+	}
+	return first, set[first:last]
 }

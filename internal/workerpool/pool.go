@@ -324,12 +324,12 @@ func (p *Pool) slot(id int) {
 	}
 }
 
-// finishJob delivers one job's outcome (the response channel is
-// buffered, so the slot never blocks) and accounts it.
+// finishJob accounts one job's outcome and delivers it (the response
+// channel is buffered, so the slot never blocks). Accounting comes first,
+// so Stats counts every job whose Do has returned.
 //
 //fpva:allocfree
 func (p *Pool) finishJob(j *poolJob, payload []byte, err error) {
-	j.resp <- jobResult{payload: payload, err: err}
 	p.mu.Lock()
 	if err != nil {
 		p.stats.JobsFailed++
@@ -337,6 +337,7 @@ func (p *Pool) finishJob(j *poolJob, payload []byte, err error) {
 		p.stats.JobsDone++
 	}
 	p.mu.Unlock()
+	j.resp <- jobResult{payload: payload, err: err}
 }
 
 // noteDeath records a worker death the pool will recover from.
