@@ -2,6 +2,7 @@ package diagnose_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -68,11 +69,27 @@ func closedLoop(t *testing.T, s *sim.Simulator, vecs []*sim.Vector, sess *diagno
 // fault-free, every stuck-at, every leak pair — must isolate to a singleton
 // or a provably indistinguishable class (identical readings under every
 // vector, checked against the scalar simulator), within len(vectors)
-// probes, with the true fault always inside the final ambiguity set.
+// probes, with the true fault always inside the final ambiguity set. The
+// 3-sink 4x4 array (random vectors, leak pairs and doubles) runs the
+// refinement sink by sink.
 func TestOracleSingleFaultIsolation(t *testing.T) {
+	type array struct {
+		name string
+		s    *sim.Simulator
+		vecs []*sim.Vector
+		cv   *sim.CompiledVectors
+		opt  diagnose.Options
+	}
+	var arrays []array
 	for _, dim := range [][2]int{{3, 3}, {4, 4}} {
 		s, vecs, cv, opt := testCase(t, dim[0], dim[1])
-		sg, err := diagnose.Compile(context.Background(), cv, opt)
+		arrays = append(arrays, array{fmt.Sprintf("%dx%d", dim[0], dim[1]), s, vecs, cv, opt})
+	}
+	s, vecs, cv, opt := diagnose.MultiSinkCase(t)
+	arrays = append(arrays, array{"4x4 3-sink", s, vecs, cv, opt})
+	for _, a := range arrays {
+		s, vecs := a.s, a.vecs
+		sg, err := diagnose.Compile(context.Background(), a.cv, a.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +98,7 @@ func TestOracleSingleFaultIsolation(t *testing.T) {
 			sess := diagnose.NewSession(sg)
 			closedLoop(t, s, vecs, sess, hidden)
 			if !sess.Done() {
-				t.Fatalf("%dx%d hidden %v: session not done after probing stopped", dim[0], dim[1], hidden)
+				t.Fatalf("%s hidden %v: session not done after probing stopped", a.name, hidden)
 			}
 			alive := sess.Alive()
 			found := false
@@ -92,7 +109,7 @@ func TestOracleSingleFaultIsolation(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("%dx%d hidden %v: true candidate eliminated; alive=%v", dim[0], dim[1], hidden, alive)
+				t.Fatalf("%s hidden %v: true candidate eliminated; alive=%v", a.name, hidden, alive)
 			}
 			// Every surviving pair must be indistinguishable under every
 			// vector — verified against the scalar simulator, not the table.
@@ -105,8 +122,8 @@ func TestOracleSingleFaultIsolation(t *testing.T) {
 						ra := s.Readings(vec, sg.Candidate(m))
 						rb := s.Readings(vec, sg.Candidate(n))
 						if !reflect.DeepEqual(ra, rb) {
-							t.Fatalf("%dx%d hidden %v: survivors %v and %v differ on vector %d",
-								dim[0], dim[1], hidden, sg.Candidate(m), sg.Candidate(n), vi)
+							t.Fatalf("%s hidden %v: survivors %v and %v differ on vector %d",
+								a.name, hidden, sg.Candidate(m), sg.Candidate(n), vi)
 						}
 					}
 				}

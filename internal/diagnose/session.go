@@ -292,7 +292,9 @@ func (sg *Signatures) halve(m []uint64, lo, v, j int, masks []uint64) (m1, m0 []
 
 // largestPart returns the size of the largest part that vector v's
 // readings at sinks j.. cut the mask m (size members, words lo..) into.
-// Parts are materialized at every sink but the last, which only counts.
+// Parts are materialized at every sink but the last, which only counts. A
+// sink that leaves m whole is passed through, so only non-empty parts are
+// visited: at most min(2^j, size) at sink j, as in cut.
 func (sg *Signatures) largestPart(m []uint64, lo, size, v, j int, masks []uint64) int {
 	if j == sg.Sinks()-1 {
 		row := sg.m.Row(v, j)[lo : lo+len(m)]
@@ -303,6 +305,9 @@ func (sg *Signatures) largestPart(m []uint64, lo, size, v, j int, masks []uint64
 		return max(n1, size-n1)
 	}
 	m1, m0, n1 := sg.halve(m, lo, v, j, masks)
+	if n1 == 0 || n1 == size {
+		return sg.largestPart(m, lo, size, v, j+1, masks)
+	}
 	return max(sg.largestPart(m1, lo, n1, v, j+1, masks), sg.largestPart(m0, lo, size-n1, v, j+1, masks))
 }
 

@@ -266,7 +266,6 @@ func (p *Pool) slot(id int) {
 				}
 			}
 			payload, err, dead := p.runJob(id, w, j)
-			p.finishJob(j, payload, err)
 			if dead {
 				// Crash or kill mid-job: the next spawn on this slot backs
 				// off, so a worker that dies instantly on every job cannot
@@ -277,6 +276,8 @@ func (p *Pool) slot(id int) {
 			} else {
 				backoff = p.cfg.BackoffMin
 			}
+			// After noteDeath, so Stats counts the death once Do returns.
+			p.finishJob(j, payload, err)
 			idleMisses = 0
 		case <-idlePing.C:
 			if w == nil {
