@@ -13,6 +13,9 @@ package repro
 //	BenchmarkAblation_*       engine ablations called out in DESIGN.md
 //	BenchmarkEncodePlan_*     plan wire codec (the v1 JSON every solve,
 //	BenchmarkDecodePlan_*     store read-back and plan upload crosses)
+//	BenchmarkCompile_*        the compiled vector set campaign, verify and
+//	                          diagnose jobs share (TestSet.Compile)
+//	BenchmarkService_Verify_* a verify job through the service, warm entry
 //
 // Vector counts and detection rates are attached as custom metrics so the
 // numbers the paper reports appear directly in the benchmark output.
@@ -117,7 +120,7 @@ func benchCampaign(b *testing.B, faults, workers int) {
 	var res sim.CampaignResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = s.RunCampaign(context.Background(), vecs, sim.CampaignConfig{
+		res, err = s.Compile(vecs).RunCampaign(context.Background(), sim.CampaignConfig{
 			Trials: 10000, NumFaults: faults, Seed: int64(faults), Workers: workers,
 		})
 		if err != nil {
@@ -156,8 +159,13 @@ func BenchmarkVerifySingleFaults(b *testing.B) {
 	var escapes []sim.Fault
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		escapes, err = ts.VerifySingleFaults(context.Background())
+		// The compile stays inside the timed loop, as it was before the
+		// sweep took compiled vectors, so the rows stay comparable.
+		cv, err := ts.Compile()
 		if err != nil {
+			b.Fatal(err)
+		}
+		if escapes, err = core.VerifySingleFaults(context.Background(), cv); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,8 +229,11 @@ func BenchmarkTwoFaultExhaustive(b *testing.B) {
 	}
 	var escapes [][2]sim.Fault
 	for i := 0; i < b.N; i++ {
-		escapes, err = ts.VerifyDoubleFaults(context.Background(), 0)
+		cv, err := ts.Compile()
 		if err != nil {
+			b.Fatal(err)
+		}
+		if escapes, err = core.VerifyDoubleFaults(context.Background(), cv, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -493,6 +504,65 @@ func benchDecodePlan(b *testing.B, name string) {
 		if _, err := fpva.DecodePlan(bytes.NewReader(wire)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchCompile times TestSet.Compile on a Table I plan: the fault-free
+// state, golden readings and single-fault tables of every vector. Every
+// campaign and verify job paid this (a verify job twice) before the
+// service shared one compiled entry per plan content.
+func benchCompile(b *testing.B, name string) {
+	c, err := bench.FindCase(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := bench.Row(context.Background(), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ts.Compile(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompile_10x10(b *testing.B) { benchCompile(b, "10x10") }
+func BenchmarkCompile_15x15(b *testing.B) { benchCompile(b, "15x15") }
+
+// BenchmarkService_Verify_15x15 times a test-floor verify job as fpvad
+// runs it: decode a fresh copy of the uploaded plan, SubmitVerify with
+// 2,000 pairs, Wait. The service's compiled entry for the plan is warm,
+// so both sweeps run without a compile.
+func BenchmarkService_Verify_15x15(b *testing.B) {
+	_, wire := planWire(b, "15x15")
+	svc := fpva.NewService(fpva.WithServiceWorkers(1))
+	defer svc.Close()
+	ctx := context.Background()
+	verify := func() {
+		p, err := fpva.DecodePlan(bytes.NewReader(wire))
+		if err != nil {
+			b.Fatal(err)
+		}
+		j, err := svc.SubmitVerify(ctx, p, 2000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+		svc.Forget(j.ID())
+	}
+	verify() // warm the compiled entry
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		verify()
+	}
+	b.StopTimer()
+	if st := svc.Stats(); st.CompileMisses != 1 {
+		b.Fatalf("%d compiles, want the warm-up's 1", st.CompileMisses)
 	}
 }
 

@@ -443,6 +443,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		Verifies:  st.Verifies,
 		Diagnoses: st.Diagnoses, DiagnoseWallNs: st.DiagnoseWall.Nanoseconds(),
 		SigCacheHits: st.SigCacheHits, SigCacheMisses: st.SigCacheMisses,
+		CompileHits: st.CompileHits, CompileMisses: st.CompileMisses,
 		SolverExecutor: st.SolverExecutor,
 		WorkerSlots:    st.WorkerSlots, WorkersAlive: st.WorkersAlive, WorkersBusy: st.WorkersBusy,
 		WorkerSpawns: st.WorkerSpawns, WorkerRestarts: st.WorkerRestarts, WorkerKills: st.WorkerKills,

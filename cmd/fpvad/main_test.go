@@ -409,7 +409,7 @@ func TestDiagnoseJob(t *testing.T) {
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Diagnoses != 1 || st.SigCacheMisses != 1 {
+	if st.Diagnoses != 1 || st.SigCacheMisses != 1 || st.CompileMisses != 1 || st.CompileHits != 0 {
 		t.Errorf("diagnose stats %+v", st)
 	}
 	if ks := st.Kinds["diagnose"]; ks.Submitted != 1 || ks.Done != 1 {
@@ -509,6 +509,9 @@ func TestStatsAndList(t *testing.T) {
 	}
 	if st.Solves != 1 || st.CacheHits+st.CacheCoalesced != 1 {
 		t.Errorf("identical submissions did not dedup: %+v", st)
+	}
+	if st.CompileHits != 0 || st.CompileMisses != 0 {
+		t.Errorf("generate jobs compiled vectors: %+v", st)
 	}
 	code, b = getBody(t, srv.URL+"/v1/jobs")
 	if code != http.StatusOK {

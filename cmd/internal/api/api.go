@@ -189,6 +189,8 @@ type ServiceStats struct {
 	DiagnoseWallNs int64                `json:"diagnoseWallNs"`
 	SigCacheHits   int                  `json:"sigCacheHits"`
 	SigCacheMisses int                  `json:"sigCacheMisses"`
+	CompileHits    int                  `json:"compileHits"`
+	CompileMisses  int                  `json:"compileMisses"`
 	SolverExecutor string               `json:"solverExecutor,omitempty"`
 	WorkerSlots    int                  `json:"workerSlots,omitempty"`
 	WorkersAlive   int                  `json:"workersAlive,omitempty"`

@@ -4,8 +4,15 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"sync"
+
+	"repro/internal/diagnose"
+	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // DefaultCacheBytes is the plan-cache byte budget of a service built
@@ -33,68 +40,134 @@ func planKey(a *Array, cfg genConfig) (string, error) {
 // cacheEntry is one cached plan together with its v1 wire encoding — the
 // exact bytes fpvad serves from /plan, encoded once when the solve
 // finished — and the progress events the solve emitted, replayed on every
-// hit so cached and cold callers observe the same sequence. The byte
-// budget is charged the wire length, so it measures real payload, not Go
-// object overhead.
+// hit so cached and cold callers observe the same sequence. The plan
+// cache charges it the wire length, so the byte budget measures real
+// payload, not Go object overhead.
 type cacheEntry struct {
-	key    string
 	plan   *Plan
 	wire   []byte
 	events []Event
 }
 
-// planCache is an LRU keyed by planKey with a byte budget. It is not
+// maxCompiledArtifacts bounds the service's compiled cache. An entry
+// costs one artifact for its compiled vectors plus one per signature
+// table; entries, not bytes, are the unit because the dominant cost is
+// the compile, not the RAM.
+const maxCompiledArtifacts = 16
+
+// compiled is the compiled state of one plan content, shared by every
+// campaign, verify and diagnose run against that content: the vector set
+// bound to its simulator, and one diagnosis signature table per candidate
+// universe, added on first use. Both are immutable once built.
+type compiled struct {
+	key string // compiledKey of the content
+	cv  *sim.CompiledVectors
+
+	mu   sync.Mutex
+	sigs map[universe]*diagnose.Signatures
+}
+
+func compilePlan(p *Plan, key string) (*compiled, error) {
+	cv, err := p.ts.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return &compiled{key: key, cv: cv, sigs: make(map[universe]*diagnose.Signatures)}, nil
+}
+
+// cost is the number of artifacts the entry holds.
+func (e *compiled) cost() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return int64(1 + len(e.sigs))
+}
+
+// compiledKey is the content address of a plan's compiled state: the
+// SHA-256 of one buffer packing everything the compile and the signature
+// tables read. That is the array text, the ports in attachment order (the
+// simulator reads its sinks in that order, and the text does not carry
+// it), every vector's open states as bits in plan order, and the leak
+// pairs. Vector names and kinds, timings and worker counts change no
+// compiled artifact and are left out, so a generated plan and its decoded
+// copy share a key whenever their ports are in scan order.
+func compiledKey(p *Plan) string {
+	g, ts := p.a.g, p.ts
+	nv, vecs := g.NumValves(), ts.AllVectors()
+	text := grid.Marshal(g)
+	b := make([]byte, 0, len(text)+4*len(g.Ports())+len(vecs)*(nv+7)/8+8*len(ts.LeakPairs)+16)
+	b = append(b, text...)
+	b = binary.AppendUvarint(b, uint64(len(g.Ports())))
+	for _, pt := range g.Ports() {
+		b = strconv.AppendBool(binary.AppendUvarint(b, uint64(pt.Valve)), pt.Source)
+	}
+	b = binary.AppendUvarint(b, uint64(len(vecs)))
+	for _, v := range vecs {
+		n := len(b)
+		b = append(b, make([]byte, (nv+7)/8)...)
+		for id := 0; id < nv; id++ {
+			if v.Open(grid.ValveID(id)) {
+				b[n+id/8] |= 1 << (id % 8)
+			}
+		}
+	}
+	for _, lp := range ts.LeakPairs {
+		b = binary.AppendUvarint(b, uint64(lp[0]))
+		b = binary.AppendUvarint(b, uint64(lp[1]))
+	}
+	sum := sha256.Sum256(b)
+	return string(sum[:])
+}
+
+// lru is a cost-weighted least-recently-used map: put evicts from the
+// cold end until the total cost fits the budget, and a value dearer than
+// the whole budget is not kept. The service keeps two: plans charged by
+// wire length, and compiled entries charged by artifacts held. It is not
 // goroutine-safe; the owning Service serializes access under its mutex.
-type planCache struct {
-	capBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used; values are *cacheEntry
-	index    map[string]*list.Element
+type lru[V any] struct {
+	capCost, cost int64
+	ll            list.List // front = most recently used; values are *lruItem[V]
+	index         map[string]*list.Element
 }
 
-func newPlanCache(capBytes int64) *planCache {
-	return &planCache{capBytes: capBytes, ll: list.New(), index: make(map[string]*list.Element)}
+type lruItem[V any] struct {
+	key  string
+	val  V
+	cost int64
 }
 
-// get returns the cached plan, its wire bytes, and its recorded solve
-// events for key, bumping the entry to most recently used.
-func (c *planCache) get(key string) (*Plan, []byte, []Event, bool) {
+func newLRU[V any](capCost int64) *lru[V] {
+	return &lru[V]{capCost: capCost, index: make(map[string]*list.Element)}
+}
+
+// get returns the value under key, marking it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	el, ok := c.index[key]
 	if !ok {
-		return nil, nil, nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	return ent.plan, ent.wire, ent.events, true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// put inserts (or refreshes) a plan and evicts from the LRU tail until the
-// byte budget holds. A plan bigger than the whole budget is not cached.
-func (c *planCache) put(key string, plan *Plan, wire []byte, events []Event) {
-	size := int64(len(wire))
-	if c.capBytes <= 0 || size == 0 || size > c.capBytes {
+// put stores v under key at the given cost, replacing any value there,
+// and evicts least recently used values until the budget holds.
+func (c *lru[V]) put(key string, v V, cost int64) {
+	if el, ok := c.index[key]; ok {
+		c.remove(el)
+	}
+	if cost > c.capCost {
 		return
 	}
-	if el, ok := c.index[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.bytes += size - int64(len(ent.wire))
-		ent.plan, ent.wire, ent.events = plan, wire, events
-		c.ll.MoveToFront(el)
-	} else {
-		c.index[key] = c.ll.PushFront(&cacheEntry{key: key, plan: plan, wire: wire, events: events})
-		c.bytes += size
-	}
-	for c.bytes > c.capBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.index, ent.key)
-		c.bytes -= int64(len(ent.wire))
+	c.index[key] = c.ll.PushFront(&lruItem[V]{key: key, val: v, cost: cost})
+	c.cost += cost
+	for c.cost > c.capCost {
+		c.remove(c.ll.Back())
 	}
 }
 
-// len returns the number of cached plans.
-func (c *planCache) len() int { return c.ll.Len() }
+func (c *lru[V]) remove(el *list.Element) {
+	it := c.ll.Remove(el).(*lruItem[V])
+	delete(c.index, it.key)
+	c.cost -= it.cost
+}

@@ -223,8 +223,8 @@ func intsToIDs(g *grid.Array, ints []int) ([]grid.ValveID, error) {
 func (p *Plan) MarshalJSON() ([]byte, error) { return encodePlan(p, false), nil }
 
 // UnmarshalJSON decodes a plan from the versioned JSON wire format into p,
-// replacing what p held, including the diagnosis signature table it
-// memoized for its old vectors. The decoded plan supports campaigns,
+// replacing what p held, including the vectors and signature tables it
+// compiled for its old content. The decoded plan supports campaigns,
 // verification and re-encoding; it does not carry path/cut geometry, so
 // rendering methods report an error. As with json.Unmarshal, data must
 // hold one JSON value and nothing else.
@@ -296,9 +296,9 @@ func (env *planEnvelope) decode(p *Plan) error {
 	p.a = &Array{g: g}
 	p.ts = ts
 	p.geometry = false
-	p.sigMu.Lock()
-	p.sigMemo = nil
-	p.sigMu.Unlock()
+	p.mu.Lock()
+	p.compiled = nil
+	p.mu.Unlock()
 	return nil
 }
 

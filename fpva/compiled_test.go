@@ -1,0 +1,125 @@
+package fpva
+
+import (
+	"context"
+	"testing"
+)
+
+// copyOf decodes a fresh copy of the plan, as every upload to fpvad does.
+func copyOf(t *testing.T, p *Plan) *Plan {
+	t.Helper()
+	q, err := decodePlan(encodePlan(p, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// generated returns the plan of a Table I array.
+func generated(t *testing.T, name string) *Plan {
+	t.Helper()
+	a, err := BenchmarkArray(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Generate(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCompiledKey pins what the compiled cache's key covers: a generated
+// plan and its decoded copy share it (the standard ports attach in scan
+// order), vector names and timings do not move it, and a changed vector
+// does.
+func TestCompiledKey(t *testing.T) {
+	p := generated(t, "5x5")
+	q := copyOf(t, p)
+	key := compiledKey(p)
+	if compiledKey(q) != key {
+		t.Fatal("a decoded copy has a different compiled key")
+	}
+	q.ts.PathVectors[0].Name = "renamed"
+	q.ts.Stats.TP, q.ts.Stats.T = 0, 0
+	if compiledKey(q) != key {
+		t.Fatal("vector names or timings moved the compiled key")
+	}
+	v := q.ts.CutVectors[0]
+	id := q.a.g.NormalValves()[0]
+	v.SetOpen(id, !v.Open(id))
+	if compiledKey(q) == key {
+		t.Fatal("a changed vector kept the compiled key")
+	}
+}
+
+// TestServiceLeavesPlanUncompiled: service jobs take their compiled state
+// from the service's own cache and never store it on the submitted plan,
+// so a retained job cannot pin vectors or signature tables through its
+// input plan.
+func TestServiceLeavesPlanUncompiled(t *testing.T) {
+	ctx := context.Background()
+	p := copyOf(t, generated(t, "5x5"))
+	svc := NewService(WithServiceWorkers(1))
+	defer svc.Close()
+	for _, submit := range []func() (*Job, error){
+		func() (*Job, error) { return svc.SubmitDiagnose(ctx, p, nil) },
+		func() (*Job, error) { return svc.SubmitCampaign(ctx, p, WithTrials(200)) },
+		func() (*Job, error) { return svc.SubmitVerify(ctx, p, 100) },
+	} {
+		j, err := submit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		p.mu.Lock()
+		held := p.compiled
+		p.mu.Unlock()
+		if held != nil {
+			t.Fatalf("a %v job left compiled state on its input plan", j.Kind())
+		}
+	}
+	if st := svc.Stats(); st.CompileMisses != 1 || st.CompileHits != 2 {
+		t.Errorf("CompileMisses=%d CompileHits=%d, want 1 and 2", st.CompileMisses, st.CompileHits)
+	}
+}
+
+// TestCompiledCacheBound: every new signature table re-charges its entry,
+// so a client that varies the candidate universe on one plan never grows
+// the compiled cache past its cap, and the cache's total stays the sum of
+// what its entries hold.
+func TestCompiledCacheBound(t *testing.T) {
+	ctx := context.Background()
+	a, err := NewArray(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Generate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(WithServiceWorkers(1))
+	defer svc.Close()
+	for n := 1; n <= 20; n++ {
+		j, err := svc.SubmitDiagnose(ctx, p, nil, WithDoubleFaultCandidates(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		svc.mu.Lock()
+		c := svc.compiled
+		sum := int64(0)
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*lruItem[*compiled]).val.cost()
+		}
+		cost, capCost := c.cost, c.capCost
+		svc.mu.Unlock()
+		if cost > capCost || sum != cost {
+			t.Fatalf("after maxDoubles %d: cache charged %d (entries hold %d), cap %d", n, cost, sum, capCost)
+		}
+	}
+}

@@ -7,11 +7,7 @@ package fpva
 // after every observation.
 
 import (
-	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 
 	"repro/internal/diagnose"
 	"repro/internal/grid"
@@ -77,11 +73,17 @@ func (d *Diagnosis) Array() *Array { return d.a }
 type DiagnoseOption func(*diagnoseConfig)
 
 type diagnoseConfig struct {
-	workers    int
-	budget     int
-	maxDoubles int
+	universe
+	workers  int
+	budget   int
+	progress Progress
+}
+
+// universe holds the options that shape the candidate universe, and so
+// name a signature table (workers never change the table).
+type universe struct {
 	noLeaks    bool
-	progress   Progress
+	maxDoubles int
 }
 
 // WithDiagnoseWorkers shards the signature-table build across n goroutines
@@ -123,59 +125,31 @@ func (c diagnoseConfig) internalOptions(p *Plan) diagnose.Options {
 	return opt
 }
 
-// sigMemoEntry is the plan's one-slot signature memo: the last table
-// compiled, keyed by the options that shape the candidate universe
-// (workers never change the table). It is not keyed by the vectors:
-// UnmarshalJSON, the one way a plan's vectors change, clears it.
-type sigMemoEntry struct {
-	noLeaks    bool
-	maxDoubles int
-	sg         *diagnose.Signatures
+// signatures returns the entry's signature table for the candidate
+// universe cfg describes, compiling it on first use; hit reports reuse.
+// When two callers compile one table at once, the first to finish wins.
+func (e *compiled) signatures(ctx context.Context, p *Plan, cfg diagnoseConfig) (sg *diagnose.Signatures, hit bool, err error) {
+	if sg = e.table(cfg.universe, nil); sg != nil {
+		return sg, true, nil
+	}
+	if sg, err = diagnose.Compile(ctx, e.cv, cfg.internalOptions(p)); err != nil {
+		return nil, false, err
+	}
+	return e.table(cfg.universe, sg), false, nil
 }
 
-// compileSignatures builds the signature table of the plan's full vector
-// set under cfg. The plan memoizes the last table it compiled, so a
-// closed-loop study opening one session per hidden fault — fpvasim
-// -diagnose — pays for the compile once.
-func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diagnose.Signatures, error) {
-	p.sigMu.Lock()
-	if m := p.sigMemo; m != nil && m.noLeaks == cfg.noLeaks && m.maxDoubles == cfg.maxDoubles {
-		sg := m.sg
-		p.sigMu.Unlock()
-		return sg, nil
+// table returns the entry's table for u; when there is none yet and sg is
+// not nil, it stores and returns sg.
+func (e *compiled) table(u universe, sg *diagnose.Signatures) *diagnose.Signatures {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if have := e.sigs[u]; have != nil {
+		return have
 	}
-	p.sigMu.Unlock()
-	cv, err := p.ts.Compile()
-	if err != nil {
-		return nil, err
+	if sg != nil {
+		e.sigs[u] = sg
 	}
-	sg, err := diagnose.Compile(ctx, cv, cfg.internalOptions(p))
-	if err != nil {
-		return nil, err
-	}
-	p.sigMu.Lock()
-	p.sigMemo = &sigMemoEntry{noLeaks: cfg.noLeaks, maxDoubles: cfg.maxDoubles, sg: sg}
-	p.sigMu.Unlock()
-	return sg, nil
-}
-
-// runDiagnosis replays the observations into a fresh session and snapshots
-// the result. It is shared by Plan.Diagnose and the service job runner.
-func runDiagnosis(ctx context.Context, p *Plan, sg *diagnose.Signatures, cfg diagnoseConfig, obs []Observation) (*Diagnosis, error) {
-	sess := diagnose.NewSession(sg)
-	for i, o := range obs {
-		if err := sess.Observe(o.Vector, o.Readings); err != nil {
-			return nil, err
-		}
-		if cfg.progress != nil {
-			cfg.progress(Event{Kind: DiagnoseTick, Round: i + 1, Ambiguity: sess.AliveCount()})
-		}
-	}
-	steps, err := sess.PlanProbes(ctx, cfg.budget)
-	if err != nil {
-		return nil, err
-	}
-	return newDiagnosis(p, sg, sess, steps), nil
+	return sg
 }
 
 // newDiagnosis converts the internal session state into the public result.
@@ -229,10 +203,10 @@ func newDiagnosis(p *Plan, sg *diagnose.Signatures, sess *diagnose.Session, step
 // the observations — never on worker count. Cancelling ctx aborts
 // the signature build promptly and returns an error wrapping ctx.Err().
 //
-// Diagnose reuses the plan's memoized signature table when the candidate
-// universe is unchanged; interactive probing should use
-// NewDiagnoseSession, and one-shot calls across many plans should go
-// through Service.SubmitDiagnose, which keeps an LRU of compiled tables.
+// Diagnose keeps the signature tables it compiles with the plan, so later
+// calls and sessions skip the build; interactive probing should use
+// NewDiagnoseSession, and calls on many decoded copies of a plan should go
+// through Service.SubmitDiagnose, which shares one compile among them.
 func (p *Plan) Diagnose(ctx context.Context, obs []Observation, opts ...DiagnoseOption) (*Diagnosis, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -241,11 +215,30 @@ func (p *Plan) Diagnose(ctx context.Context, obs []Observation, opts ...Diagnose
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sg, err := p.compileSignatures(ctx, cfg)
+	d, _, err := p.diagnose(ctx, cfg, obs)
+	return d, err
+}
+
+// diagnose replays the observations into a fresh session and snapshots
+// the result; hit reports whether the signature table was reused. It is
+// shared by Plan.Diagnose and the service's diagnose jobs.
+func (p *Plan) diagnose(ctx context.Context, cfg diagnoseConfig, obs []Observation) (d *Diagnosis, hit bool, err error) {
+	e, err := p.entry()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return runDiagnosis(ctx, p, sg, cfg, obs)
+	sg, hit, err := e.signatures(ctx, p, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	s := &DiagnoseSession{p: p, cfg: cfg, sg: sg, sess: diagnose.NewSession(sg)}
+	for _, o := range obs {
+		if err := s.Observe(o); err != nil {
+			return nil, hit, err
+		}
+	}
+	d, err = s.Diagnosis(ctx)
+	return d, hit, err
 }
 
 // DiagnoseSession is an interactive diagnosis: feed observations as the
@@ -259,7 +252,7 @@ type DiagnoseSession struct {
 }
 
 // NewDiagnoseSession compiles the signature table (the expensive part, once
-// per session) and starts a session with every candidate alive.
+// per plan) and starts a session with every candidate alive.
 func (p *Plan) NewDiagnoseSession(ctx context.Context, opts ...DiagnoseOption) (*DiagnoseSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -268,7 +261,11 @@ func (p *Plan) NewDiagnoseSession(ctx context.Context, opts ...DiagnoseOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sg, err := p.compileSignatures(ctx, cfg)
+	e, err := p.entry()
+	if err != nil {
+		return nil, err
+	}
+	sg, _, err := e.signatures(ctx, p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -309,66 +306,4 @@ func (s *DiagnoseSession) Diagnosis(ctx context.Context) (*Diagnosis, error) {
 		return nil, err
 	}
 	return newDiagnosis(s.p, s.sg, s.sess, steps), nil
-}
-
-// sigKey derives the cache key of a compiled signature table: the SHA-256
-// of the plan's v1 wire encoding plus the fingerprint of every option that
-// can change the table. Worker counts are deliberately excluded — tables
-// are bit-identical across them, so they must share an entry.
-func sigKey(p *Plan, cfg diagnoseConfig) (string, error) {
-	h := sha256.New()
-	if err := EncodePlan(h, p); err != nil {
-		return "", err
-	}
-	fmt.Fprintf(h, "\x00noLeaks=%t doubles=%d v=%d", cfg.noLeaks, cfg.maxDoubles, CodecVersion)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// defaultSigCacheEntries bounds the service's signature-table cache. A
-// table is a few hundred KB for the Table I arrays; entries, not bytes, are
-// the natural unit because the dominant cost is the compile, not the RAM.
-const defaultSigCacheEntries = 8
-
-// sigCacheEntry is one cached signature table.
-type sigCacheEntry struct {
-	key string
-	sg  *diagnose.Signatures
-}
-
-// sigCache is an entry-capped LRU of compiled signature tables. It is not
-// goroutine-safe; the owning Service serializes access under its mutex.
-type sigCache struct {
-	capEntries int
-	ll         *list.List // front = most recently used; values are *sigCacheEntry
-	index      map[string]*list.Element
-}
-
-func newSigCache(capEntries int) *sigCache {
-	return &sigCache{capEntries: capEntries, ll: list.New(), index: make(map[string]*list.Element)}
-}
-
-func (c *sigCache) get(key string) (*diagnose.Signatures, bool) {
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*sigCacheEntry).sg, true
-}
-
-func (c *sigCache) put(key string, sg *diagnose.Signatures) {
-	if el, ok := c.index[key]; ok {
-		el.Value.(*sigCacheEntry).sg = sg
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.index[key] = c.ll.PushFront(&sigCacheEntry{key: key, sg: sg})
-	for c.ll.Len() > c.capEntries {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.ll.Remove(back)
-		delete(c.index, back.Value.(*sigCacheEntry).key)
-	}
 }

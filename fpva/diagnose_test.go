@@ -165,6 +165,139 @@ func TestUnmarshalResetsSignatureMemo(t *testing.T) {
 	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
 		t.Fatal("after re-decoding, the diagnosis differs from a fresh decode's")
 	}
+
+	// The vectors compiled for the old content go with the signature
+	// table: campaigns, verification and Detects on the reused plan match
+	// a fresh decode too.
+	opts := []fpva.CampaignOption{fpva.WithTrials(2000), fpva.WithNumFaults(3), fpva.WithSeed(5)}
+	gotCamp, err := reused.Campaign(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCamp, err := fresh.Campaign(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotCamp, wantCamp) {
+		t.Errorf("after re-decoding, campaign %+v, fresh decode %+v", gotCamp, wantCamp)
+	}
+	gotEsc, err := reused.VerifySingleFaults(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEsc, err := fresh.VerifySingleFaults(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotEsc, wantEsc) {
+		t.Errorf("after re-decoding, single-fault escapes %v, fresh decode %v", gotEsc, wantEsc)
+	}
+	for _, e := range fresh.Array().Valves()[:8] {
+		fs := []fpva.Fault{{Kind: fpva.StuckAt1, A: e}, {Kind: fpva.StuckAt0, A: fresh.Array().Valves()[20]}}
+		got, err := reused.Detects(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Detects(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("after re-decoding, Detects(%v) = %t, fresh decode %t", fs, got, want)
+		}
+	}
+}
+
+// TestSubmitDiagnoseSinkOrder: the wire text does not carry port
+// attachment order, and decoding re-attaches ports in scan order, so a
+// plan and its decoded copy can read their sinks in different orders. The
+// service must not serve one copy's signature table to the other: every
+// single stuck-at fault, read on every vector with each copy's own
+// simulator, diagnoses consistently through the service, exactly as
+// Plan.Diagnose on that copy does.
+func TestSubmitDiagnoseSinkOrder(t *testing.T) {
+	ctx := context.Background()
+	a, err := fpva.NewArray(4, 4,
+		fpva.WithSource("in", fpva.H(0, 0)),
+		fpva.WithSink("far", fpva.H(3, 4)),
+		fpva.WithSink("near", fpva.H(0, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A service of its own: the default one caches plans by array text,
+	// which does not carry port order either.
+	gen := fpva.NewService()
+	defer gen.Close()
+	j, err := gen.SubmitGenerate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := j.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := fpva.EncodePlan(&wire, plan); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := fpva.DecodePlan(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := fpva.NewService()
+	defer svc.Close()
+	for _, kind := range []fpva.FaultKind{fpva.StuckAt0, fpva.StuckAt1} {
+		for _, e := range a.Valves() {
+			hidden := []fpva.Fault{{Kind: kind, A: e}}
+			for _, p := range []*fpva.Plan{plan, decoded} {
+				obs := readAll(t, p, hidden)
+				job, err := svc.SubmitDiagnose(ctx, p, obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := job.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+				got, err := job.Diagnosis()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Consistent || !containsFaultSet(got.Ambiguity, hidden) {
+					t.Fatalf("hidden %v: service diagnosis Consistent=%t, fault kept=%t",
+						hidden, got.Consistent, containsFaultSet(got.Ambiguity, hidden))
+				}
+				want, err := p.Diagnose(ctx, obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("hidden %v: service and Plan.Diagnose disagree", hidden)
+				}
+			}
+		}
+	}
+}
+
+// readAll plays the technician on every plan vector: the readings the
+// plan's own array gives under the hidden faults.
+func readAll(t *testing.T, p *fpva.Plan, hidden []fpva.Fault) []fpva.Observation {
+	t.Helper()
+	sim, err := p.Array().NewSimulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obs []fpva.Observation
+	for i, v := range planVectors(t, p.Array(), p) {
+		r, err := sim.Readings(v, hidden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs = append(obs, fpva.Observation{Vector: i, Readings: r})
+	}
+	return obs
 }
 
 // TestDiagnoseSessionClosedLoop drives the interactive loop for every
@@ -304,6 +437,9 @@ func TestSubmitDiagnose(t *testing.T) {
 	if st.Diagnoses != 2 || st.SigCacheMisses != 1 || st.SigCacheHits != 1 {
 		t.Errorf("stats: Diagnoses=%d SigCacheMisses=%d SigCacheHits=%d",
 			st.Diagnoses, st.SigCacheMisses, st.SigCacheHits)
+	}
+	if st.CompileMisses != 1 || st.CompileHits != 1 {
+		t.Errorf("stats: CompileMisses=%d CompileHits=%d, want 1 and 1", st.CompileMisses, st.CompileHits)
 	}
 	ks, ok := st.Kinds["diagnose"]
 	if !ok || ks.Submitted != 2 || ks.Done != 2 || ks.Failed != 0 || ks.Canceled != 0 {

@@ -27,11 +27,25 @@ type Plan struct {
 	// false for decoded and baseline plans.
 	geometry bool
 
-	// sigMu guards sigMemo, the plan's last compiled diagnosis signature
-	// table (see compileSignatures). Tables are immutable once built, so
-	// concurrent sessions share one safely.
-	sigMu   sync.Mutex
-	sigMemo *sigMemoEntry
+	// mu guards compiled, the plan's own compiled vectors and signature
+	// tables: built on first use, cleared by UnmarshalJSON, and never set
+	// by the Service on a caller's plan (see Service.bind).
+	mu       sync.Mutex
+	compiled *compiled
+}
+
+// entry returns the plan's own compiled state, building it on first use.
+func (p *Plan) entry() (*compiled, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.compiled == nil {
+		e, err := compilePlan(p, "")
+		if err != nil {
+			return nil, err
+		}
+		p.compiled = e
+	}
+	return p.compiled, nil
 }
 
 // Array returns the array the plan was generated for.
@@ -214,7 +228,11 @@ func (p *Plan) Campaign(ctx context.Context, opts ...CampaignOption) (CampaignRe
 			prog(Event{Kind: CampaignTick, TrialsDone: done, TrialsTotal: total})
 		}
 	}
-	res, err := p.ts.Campaign(ctx, simCfg)
+	e, err := p.entry()
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	res, err := e.cv.RunCampaign(ctx, simCfg)
 	out := CampaignResult{Trials: res.Trials, Detected: res.Detected, Sims: res.Sims}
 	for _, esc := range res.Escapes {
 		fs := make([]Fault, len(esc))
@@ -233,18 +251,22 @@ func (p *Plan) Detects(faults []Fault) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	cv, err := p.ts.Compile()
+	e, err := p.entry()
 	if err != nil {
 		return false, err
 	}
-	return cv.Detects(fs), nil
+	return e.cv.Detects(fs), nil
 }
 
 // VerifySingleFaults exhaustively checks every stuck-at fault on every
 // Normal valve and returns the undetected ones. On a fully covered array
 // the result is empty — the paper's single-fault guarantee.
 func (p *Plan) VerifySingleFaults(ctx context.Context) ([]Fault, error) {
-	escaped, err := p.ts.VerifySingleFaults(ctx)
+	e, err := p.entry()
+	if err != nil {
+		return nil, err
+	}
+	escaped, err := core.VerifySingleFaults(ctx, e.cv)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +282,11 @@ func (p *Plan) VerifySingleFaults(ctx context.Context) ([]Fault, error) {
 // pairs. Cost is O(nv^2) simulations; maxPairs > 0 truncates the scan for
 // spot checks.
 func (p *Plan) VerifyDoubleFaults(ctx context.Context, maxPairs int) ([][2]Fault, error) {
-	escaped, err := p.ts.VerifyDoubleFaults(ctx, maxPairs)
+	e, err := p.entry()
+	if err != nil {
+		return nil, err
+	}
+	escaped, err := core.VerifyDoubleFaults(ctx, e.cv, maxPairs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/diagnose"
 	"repro/internal/store"
 	"repro/internal/workerpool"
 )
@@ -54,8 +53,8 @@ type Service struct {
 	store *store.Store
 
 	mu       sync.Mutex
-	cache    *planCache // nil when caching is disabled
-	sigs     *sigCache  // compiled diagnosis signature tables
+	cache    *lru[cacheEntry] // plans by planKey; nil when caching is disabled
+	compiled *lru[*compiled]  // compiled plan content by compiledKey
 	flights  map[string]*flight
 	jobs     map[string]*Job
 	order    []*Job // submission order, for Jobs()
@@ -77,6 +76,8 @@ type Service struct {
 	verifies                int
 	diagnoses               int
 	diagnoseWall            time.Duration
+	compileHits             int
+	compileMisses           int
 	sigHits, sigMisses      int
 	byKind                  map[JobKind]*JobKindStats
 
@@ -240,7 +241,7 @@ func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
 		workers:       cfg.workers,
 		sem:           make(chan struct{}, cfg.workers),
-		sigs:          newSigCache(defaultSigCacheEntries),
+		compiled:      newLRU[*compiled](maxCompiledArtifacts),
 		flights:       make(map[string]*flight),
 		jobs:          make(map[string]*Job),
 		byKind:        make(map[JobKind]*JobKindStats),
@@ -252,7 +253,7 @@ func NewService(opts ...ServiceOption) *Service {
 		maxActive:     cfg.maxActive,
 	}
 	if cfg.cacheBytes > 0 {
-		s.cache = newPlanCache(cfg.cacheBytes)
+		s.cache = newLRU[cacheEntry](cfg.cacheBytes)
 	}
 	if cfg.cacheDir != "" {
 		if cfg.diskBytes == 0 {
@@ -323,6 +324,12 @@ type ServiceStats struct {
 	DiagnoseWall   time.Duration
 	SigCacheHits   int
 	SigCacheMisses int
+
+	// CompileHits / CompileMisses count compiled-vector lookups, one per
+	// campaign, verify or diagnose job: a hit reuses vectors compiled for
+	// the same plan content, whichever copy of the plan the job was given.
+	CompileHits   int
+	CompileMisses int
 
 	// JobsShed counts submissions rejected with ErrQueueFull by the
 	// WithMaxPending admission bound.
@@ -407,6 +414,7 @@ func (s *Service) Stats() ServiceStats {
 		Verifies:  s.verifies,
 		Diagnoses: s.diagnoses, DiagnoseWall: s.diagnoseWall,
 		SigCacheHits: s.sigHits, SigCacheMisses: s.sigMisses,
+		CompileHits: s.compileHits, CompileMisses: s.compileMisses,
 		Kinds: make(map[string]JobKindStats, len(jobKinds)),
 	}
 	for _, k := range jobKinds {
@@ -415,9 +423,9 @@ func (s *Service) Stats() ServiceStats {
 		}
 	}
 	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-		st.CacheBytes = s.cache.bytes
-		st.CacheCapBytes = s.cache.capBytes
+		st.CacheEntries = len(s.cache.index)
+		st.CacheBytes = s.cache.cost
+		st.CacheCapBytes = s.cache.capCost
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -533,9 +541,13 @@ func (s *Service) Close() error {
 }
 
 // register installs a new job under the service lock (inPlan, for
-// campaign/verify jobs, is set before the job becomes visible to lookups).
-// It fails once the service is closed.
+// campaign, verify and diagnose jobs, is set before the job becomes
+// visible to lookups). A nil ctx means context.Background(). It fails
+// once the service is closed.
 func (s *Service) register(kind JobKind, ctx context.Context, progress Progress, inPlan *Plan) (*Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -648,9 +660,6 @@ func (s *Service) releaseSlot() { <-s.sem }
 // submission identical to an in-flight one attaches to that solve instead
 // of starting its own.
 func (s *Service) SubmitGenerate(ctx context.Context, a *Array, opts ...GenOption) (*Job, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg := genConfig{blockSize: 5}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -673,9 +682,6 @@ func (s *Service) SubmitGenerate(ctx context.Context, a *Array, opts ...GenOptio
 // SubmitCampaign queues a fault-injection campaign job against the plan.
 // Options are those of Plan.Campaign.
 func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignOption) (*Job, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var cfg campaignConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -684,7 +690,14 @@ func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignO
 	if err != nil {
 		return nil, err
 	}
-	go s.runCampaign(j, p, opts)
+	all := append(append([]CampaignOption(nil), opts...), WithCampaignProgress(j.emit))
+	go s.runPlanJob(j, p, func(bp *Plan) error {
+		res, err := bp.Campaign(j.ctx, all...)
+		j.mu.Lock()
+		j.camp = res
+		j.mu.Unlock()
+		return err
+	})
 	return j, nil
 }
 
@@ -692,14 +705,25 @@ func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignO
 // stuck-at fault, then every distinct pair (maxPairs > 0 truncates the
 // O(nv^2) pair scan).
 func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	j, err := s.register(JobVerify, ctx, nil, p)
 	if err != nil {
 		return nil, err
 	}
-	go s.runVerify(j, p, maxPairs)
+	// Both sweeps run against one compile.
+	go s.runPlanJob(j, p, func(bp *Plan) error {
+		singles, err := bp.VerifySingleFaults(j.ctx)
+		if err != nil {
+			return err
+		}
+		pairs, err := bp.VerifyDoubleFaults(j.ctx, maxPairs)
+		if err != nil {
+			return err
+		}
+		j.mu.Lock()
+		j.verify = VerifyResult{SingleEscapes: singles, DoubleEscapes: pairs}
+		j.mu.Unlock()
+		return nil
+	})
 	return j, nil
 }
 
@@ -708,15 +732,12 @@ func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job
 // *Diagnosis via Job.Diagnosis after Job.Wait, and emits one DiagnoseTick
 // event per observation round.
 //
-// Compiled signature tables are cached by content (plan wire encoding plus
-// the options that shape the candidate universe), so repeated diagnoses of
-// the same plan — the common case as observations trickle in — skip the
-// expensive response-matrix build; Job.CacheHit reports whether the table
-// was reused.
+// Signature tables live in the service's compiled entry for the plan's
+// content, one per candidate universe, so repeated diagnoses of the same
+// plan, however many decoded copies they arrive on, skip the expensive
+// response-matrix build; Job.CacheHit reports whether the table was
+// reused. The service stores nothing on p.
 func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation, opts ...DiagnoseOption) (*Job, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var cfg diagnoseConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -731,70 +752,63 @@ func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation
 	if err != nil {
 		return nil, err
 	}
-	go s.runDiagnose(j, p, obsCopy, cfg)
+	// Route round ticks through the job (j.emit already invokes the
+	// submitter's callback synchronously).
+	cfg.progress = j.emit
+	go s.runPlanJob(j, p, func(bp *Plan) error {
+		d, hit, err := bp.diagnose(j.ctx, cfg, obsCopy)
+		s.noteSignatures(bp.compiled, hit)
+		j.mu.Lock()
+		j.cacheHit, j.diag = hit, d
+		j.mu.Unlock()
+		return err
+	})
 	return j, nil
 }
 
-// signaturesFor returns the compiled signature table for (plan, cfg),
-// serving it from the service's content-addressed cache when possible.
-func (s *Service) signaturesFor(ctx context.Context, p *Plan, cfg diagnoseConfig) (sg *diagnose.Signatures, hit bool, err error) {
-	key, err := sigKey(p, cfg)
-	if err != nil {
-		return nil, false, err
-	}
+// bind returns a transient copy of p bound to the service's compiled entry
+// for p's content. A miss compiles outside the service lock; of two
+// concurrent misses, the first insert wins. The entry is never stored on
+// p: retained jobs hold their input plan and must not pin it.
+func (s *Service) bind(p *Plan) (*Plan, error) {
+	key := compiledKey(p)
 	s.mu.Lock()
-	if sg, ok := s.sigs.get(key); ok {
-		s.sigHits++
+	e, ok := s.compiled.get(key)
+	if ok {
+		s.compileHits++
+	} else {
+		s.compileMisses++
+	}
+	s.mu.Unlock()
+	if !ok {
+		c, err := compilePlan(p, key)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		if e, ok = s.compiled.get(key); !ok {
+			e = c
+			s.compiled.put(key, e, 1)
+		}
 		s.mu.Unlock()
-		return sg, true, nil
 	}
-	s.sigMisses++
-	s.mu.Unlock()
-	sg, err = p.compileSignatures(ctx, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	s.mu.Lock()
-	s.sigs.put(key, sg)
-	s.mu.Unlock()
-	return sg, false, nil
+	return &Plan{a: p.a, ts: p.ts, geometry: p.geometry, compiled: e}, nil
 }
 
-// runDiagnose is a diagnosis job's goroutine.
-func (s *Service) runDiagnose(j *Job, p *Plan, obs []Observation, cfg diagnoseConfig) {
-	defer s.wg.Done()
-	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: diagnose: %w", err))
-		return
-	}
-	defer s.releaseSlot()
-	j.setRunning()
-	t0 := time.Now()
-	sg, hit, err := s.signaturesFor(j.ctx, p, cfg)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.mu.Unlock()
-	// Route round ticks through the job (j.emit already invokes the
-	// submitter's callback synchronously).
-	cfg.progress = func(e Event) { j.emit(e) }
-	d, err := runDiagnosis(j.ctx, p, sg, cfg, obs)
-	wall := time.Since(t0)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.diag = d
-	j.mu.Unlock()
+// noteSignatures counts a diagnose job's signature-table lookup on e. A
+// new table re-charges the entry, so varying the options on one plan
+// cannot grow the cache past its cap.
+func (s *Service) noteSignatures(e *compiled, hit bool) {
 	s.mu.Lock()
-	s.diagnoses++
-	s.diagnoseWall += wall
-	s.mu.Unlock()
-	j.finish(JobDone, nil)
+	defer s.mu.Unlock()
+	if hit {
+		s.sigHits++
+		return
+	}
+	s.sigMisses++
+	if cur, ok := s.compiled.get(e.key); ok && cur == e {
+		s.compiled.put(e.key, e, e.cost())
+	}
 }
 
 // flight is one in-flight generation shared by every job that asked for
@@ -832,7 +846,7 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 	}
 	s.mu.Lock()
 	if s.cache != nil {
-		if plan, wire, events, ok := s.cache.get(key); ok {
+		if ent, ok := s.cache.get(key); ok {
 			s.hits++
 			s.mu.Unlock()
 			j.mu.Lock()
@@ -841,10 +855,10 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 			j.setRunning()
 			// Replay the events the original solve recorded, so cached and
 			// cold callers observe the same progress sequence.
-			for _, e := range events {
+			for _, e := range ent.events {
 				j.emit(e)
 			}
-			j.finishPlan(plan, wire)
+			j.finishPlan(ent.plan, ent.wire)
 			return
 		}
 	}
@@ -954,7 +968,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 			if plan, derr := decodePlan(wire); derr == nil {
 				s.mu.Lock()
 				if s.cache != nil {
-					s.cache.put(key, plan, wire, nil)
+					s.cache.put(key, cacheEntry{plan: plan, wire: wire}, int64(len(wire)))
 				}
 				s.mu.Unlock()
 				fl.wire = wire
@@ -1027,7 +1041,8 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 	s.solves++
 	s.solverWall += wall
 	if s.cache != nil && fl.wire != nil {
-		s.cache.put(key, plan, fl.wire, append([]Event(nil), fl.events...))
+		s.cache.put(key, cacheEntry{plan: plan, wire: fl.wire, events: append([]Event(nil), fl.events...)},
+			int64(len(fl.wire)))
 	}
 	s.mu.Unlock()
 	// Write-through outside the service lock: disk latency (or a store
@@ -1051,58 +1066,38 @@ func (fl *flight) emit(s *Service, e Event) {
 	}
 }
 
-// runCampaign is a campaign job's goroutine.
-func (s *Service) runCampaign(j *Job, p *Plan, opts []CampaignOption) {
+// runPlanJob is the goroutine of a campaign, verify or diagnose job: it
+// waits for a worker slot, binds p to the service's compiled entry for its
+// content, and runs body on the bound copy. body records the job's result.
+func (s *Service) runPlanJob(j *Job, p *Plan, body func(bp *Plan) error) {
 	defer s.wg.Done()
 	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: campaign: %w", err))
+		j.finish(JobCanceled, fmt.Errorf("fpva: %v: %w", j.kind, err))
 		return
 	}
 	defer s.releaseSlot()
 	j.setRunning()
-	all := append(append([]CampaignOption(nil), opts...),
-		WithCampaignProgress(func(e Event) { j.emit(e) }))
 	t0 := time.Now()
-	res, err := p.Campaign(j.ctx, all...)
+	bp, err := s.bind(p)
+	if err == nil {
+		err = body(bp)
+	}
 	wall := time.Since(t0)
-	j.mu.Lock()
-	j.camp = res
-	j.mu.Unlock()
 	if err != nil {
 		j.finish(j.classifyTerminal(), err)
 		return
 	}
 	s.mu.Lock()
-	s.campaigns++
-	s.campaignWall += wall
-	s.mu.Unlock()
-	j.finish(JobDone, nil)
-}
-
-// runVerify is a verification job's goroutine.
-func (s *Service) runVerify(j *Job, p *Plan, maxPairs int) {
-	defer s.wg.Done()
-	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: verify: %w", err))
-		return
+	switch j.kind {
+	case JobCampaign:
+		s.campaigns++
+		s.campaignWall += wall
+	case JobVerify:
+		s.verifies++
+	case JobDiagnose:
+		s.diagnoses++
+		s.diagnoseWall += wall
 	}
-	defer s.releaseSlot()
-	j.setRunning()
-	singles, err := p.VerifySingleFaults(j.ctx)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	pairs, err := p.VerifyDoubleFaults(j.ctx, maxPairs)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.verify = VerifyResult{SingleEscapes: singles, DoubleEscapes: pairs}
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.verifies++
 	s.mu.Unlock()
 	j.finish(JobDone, nil)
 }

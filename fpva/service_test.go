@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -473,6 +474,168 @@ func TestServiceCampaignAndVerifyJobs(t *testing.T) {
 	st := svc.Stats()
 	if st.Campaigns != 1 || st.Verifies != 1 {
 		t.Errorf("campaigns=%d verifies=%d, want 1/1", st.Campaigns, st.Verifies)
+	}
+	// The verify job reused the vectors the campaign job compiled.
+	if st.CompileMisses != 1 || st.CompileHits != 1 {
+		t.Errorf("compile misses=%d hits=%d, want 1/1", st.CompileMisses, st.CompileHits)
+	}
+}
+
+// decodedCopies returns n separately decoded copies of the plan, as n
+// uploads of it to fpvad would be.
+func decodedCopies(t *testing.T, plan *fpva.Plan, n int) []*fpva.Plan {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := fpva.EncodePlan(&wire, plan); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*fpva.Plan, n)
+	for i := range out {
+		p, err := fpva.DecodePlan(bytes.NewReader(wire.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// planJobs submits a campaign, a verify and a diagnose job, one per plan
+// in ps (cycling), and returns their handles in that order.
+type planJobs struct {
+	campaignOpts []fpva.CampaignOption
+	maxPairs     int
+	obs          []fpva.Observation
+	diagOpts     []fpva.DiagnoseOption
+}
+
+func (pj planJobs) submit(t *testing.T, svc *fpva.Service, camp, ver, diag *fpva.Plan) [3]*fpva.Job {
+	t.Helper()
+	ctx := context.Background()
+	var out [3]*fpva.Job
+	var err error
+	if out[0], err = svc.SubmitCampaign(ctx, camp, pj.campaignOpts...); err != nil {
+		t.Fatal(err)
+	}
+	if out[1], err = svc.SubmitVerify(ctx, ver, pj.maxPairs); err != nil {
+		t.Fatal(err)
+	}
+	if out[2], err = svc.SubmitDiagnose(ctx, diag, pj.obs, pj.diagOpts...); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// check waits for the three jobs and compares their results with the
+// plan's own methods.
+func (pj planJobs) check(t *testing.T, plan *fpva.Plan, jobs [3]*fpva.Job) {
+	t.Helper()
+	ctx := context.Background()
+	for _, j := range jobs {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCamp, err := plan.Campaign(ctx, pj.campaignOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := jobs[0].Campaign(); err != nil || !reflect.DeepEqual(got, wantCamp) {
+		t.Errorf("campaign job %+v (%v), plan's own %+v", got, err, wantCamp)
+	}
+	singles, err := plan.VerifySingleFaults(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := plan.VerifyDoubleFaults(ctx, pj.maxPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVer := fpva.VerifyResult{SingleEscapes: singles, DoubleEscapes: pairs}
+	if got, err := jobs[1].Verify(); err != nil || !reflect.DeepEqual(got, wantVer) {
+		t.Errorf("verify job %+v (%v), plan's own %+v", got, err, wantVer)
+	}
+	// Compare wire bytes: a decoded copy's array names its ports afresh.
+	var want, got bytes.Buffer
+	d, err := plan.Diagnose(ctx, pj.obs, pj.diagOpts...)
+	if err == nil {
+		err = fpva.EncodeDiagnosis(&want, d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = jobs[2].Diagnosis(); err == nil {
+		err = fpva.EncodeDiagnosis(&got, d)
+	}
+	if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("diagnose job differs from the plan's own diagnosis (%v)", err)
+	}
+}
+
+// tenByTenJobs generates the 10x10 Table I plan and the job parameters the
+// shared-compile tests run against it: a hidden stuck-at-1 fault read on
+// three vectors.
+func tenByTenJobs(t *testing.T) (*fpva.Plan, planJobs) {
+	t.Helper()
+	a, err := fpva.BenchmarkArray("10x10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fpva.Generate(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := readAll(t, plan, []fpva.Fault{{Kind: fpva.StuckAt1, A: a.Valves()[17]}})
+	return plan, planJobs{
+		campaignOpts: []fpva.CampaignOption{fpva.WithTrials(2000), fpva.WithNumFaults(2), fpva.WithSeed(3)},
+		maxPairs:     300,
+		obs:          []fpva.Observation{obs[0], obs[len(obs)/2], obs[len(obs)-1]},
+	}
+}
+
+// TestServiceSharesCompileAcrossCopies: a campaign, a verify and a
+// diagnose job on three separately decoded copies of one plan compile its
+// vectors once, and answer exactly as the in-process plan's own methods.
+func TestServiceSharesCompileAcrossCopies(t *testing.T) {
+	plan, pj := tenByTenJobs(t)
+	copies := decodedCopies(t, plan, 3)
+	svc := fpva.NewService(fpva.WithServiceWorkers(1))
+	defer svc.Close()
+	jobs := pj.submit(t, svc, copies[0], copies[1], copies[2])
+	pj.check(t, plan, jobs)
+	if st := svc.Stats(); st.CompileMisses != 1 || st.CompileHits != 2 {
+		t.Errorf("CompileMisses=%d CompileHits=%d, want 1 and 2", st.CompileMisses, st.CompileHits)
+	}
+}
+
+// TestSharedCompileBurst races all three job kinds, each on a fresh
+// decoded copy of one plan and two candidate universes, through a
+// 4-worker service: whichever job compiles the entry or adds a table
+// first, every result equals the plan's own serial answer. Run it under
+// -race with a high -count (make chaos).
+func TestSharedCompileBurst(t *testing.T) {
+	plan, pj := tenByTenJobs(t)
+	doubles := pj
+	doubles.diagOpts = []fpva.DiagnoseOption{fpva.WithDoubleFaultCandidates(10)}
+	svc := fpva.NewService(fpva.WithServiceWorkers(4))
+	defer svc.Close()
+	const rounds = 3
+	copies := decodedCopies(t, plan, 6*rounds)
+	var burst [][3]*fpva.Job
+	for r := 0; r < rounds; r++ {
+		c := copies[6*r:]
+		burst = append(burst, pj.submit(t, svc, c[0], c[1], c[2]), doubles.submit(t, svc, c[3], c[4], c[5]))
+	}
+	for i, jobs := range burst {
+		if i%2 == 0 {
+			pj.check(t, plan, jobs)
+		} else {
+			doubles.check(t, plan, jobs)
+		}
+	}
+	st := svc.Stats()
+	if st.CompileHits+st.CompileMisses != 6*rounds || st.CompileMisses < 1 {
+		t.Errorf("CompileMisses=%d CompileHits=%d over %d jobs", st.CompileMisses, st.CompileHits, 6*rounds)
 	}
 }
 

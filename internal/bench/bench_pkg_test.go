@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -53,7 +54,7 @@ func TestRowSmall(t *testing.T) {
 		t.Errorf("uncovered: %v / %v", ts.UncoveredPath, ts.UncoveredCut)
 	}
 	// Full detection on the benchmark array.
-	escaped, err := ts.VerifySingleFaults(context.Background())
+	escaped, err := singleEscapes(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRowMedium(t *testing.T) {
 	if len(ts.UncoveredPath) > 0 || len(ts.UncoveredCut) > 0 {
 		t.Fatalf("uncovered: %v / %v", ts.UncoveredPath, ts.UncoveredCut)
 	}
-	escaped, err := ts.VerifySingleFaults(context.Background())
+	escaped, err := singleEscapes(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +110,9 @@ func TestBaselineVectors(t *testing.T) {
 		t.Errorf("%d baseline vectors, want %d", len(vecs), want)
 	}
 	// The baseline must detect all single faults too.
-	s := sim.MustNew(a)
+	cv := sim.MustNew(a).Compile(vecs)
 	for _, f := range sim.AllSingleFaults(a) {
-		if !s.Detects(vecs, []sim.Fault{f}) {
+		if !cv.Detects([]sim.Fault{f}) {
 			t.Errorf("baseline misses %v", f)
 		}
 	}
@@ -207,7 +208,7 @@ func TestTable1Coverage(t *testing.T) {
 		if len(declared) > 0 && c.Name != "30x30" {
 			t.Errorf("%s: declares uncovered valves %v / %v", c.Name, ts.UncoveredPath, ts.UncoveredCut)
 		}
-		escaped, err := ts.VerifySingleFaults(context.Background())
+		escaped, err := singleEscapes(ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,4 +246,14 @@ func TestTable1Coverage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// singleEscapes compiles the test set and returns its undetected single
+// stuck-at faults.
+func singleEscapes(ts *core.TestSet) ([]sim.Fault, error) {
+	cv, err := ts.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return core.VerifySingleFaults(context.Background(), cv)
 }

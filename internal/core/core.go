@@ -9,7 +9,9 @@
 //	a := grid.MustNewStandard(10, 10)
 //	ts, err := core.Generate(ctx, a, core.Config{Hierarchical: true})
 //	...
-//	res, err := ts.Campaign(ctx, sim.CampaignConfig{Trials: 10000, NumFaults: 2, Seed: 1})
+//	cv, err := ts.Compile()
+//	...
+//	res, err := cv.RunCampaign(ctx, sim.CampaignConfig{Trials: 10000, NumFaults: 2, Seed: 1})
 package core
 
 import (
@@ -209,9 +211,9 @@ func Generate(ctx context.Context, a *grid.Array, cfg Config) (*TestSet, error) 
 }
 
 // Compile binds the full vector set to a fresh simulator with its
-// fault-free behaviour precomputed. All verification and campaign entry
-// points below go through this, so golden readings are computed exactly once
-// per vector no matter how many trials or fault pairs are evaluated.
+// fault-free behaviour precomputed. Campaigns and the verify sweeps below
+// run against the result, so golden readings are computed exactly once per
+// vector no matter how many trials or fault pairs are evaluated.
 func (ts *TestSet) Compile() (*sim.CompiledVectors, error) {
 	s, err := sim.New(ts.Array)
 	if err != nil {
@@ -220,26 +222,12 @@ func (ts *TestSet) Compile() (*sim.CompiledVectors, error) {
 	return s.Compile(ts.AllVectors()), nil
 }
 
-// Campaign runs a random fault-injection campaign (the paper's Sec. IV
-// study) against the full vector set. Cancelling ctx returns the partial
-// result together with ctx.Err().
-func (ts *TestSet) Campaign(ctx context.Context, cfg sim.CampaignConfig) (sim.CampaignResult, error) {
-	cv, err := ts.Compile()
-	if err != nil {
-		return sim.CampaignResult{}, err
-	}
-	return cv.RunCampaign(ctx, cfg)
-}
-
 // VerifySingleFaults exhaustively checks every stuck-at fault on every
-// Normal valve and returns the undetected ones. On a fully covered array
-// the result is empty — the paper's single-fault guarantee.
-func (ts *TestSet) VerifySingleFaults(ctx context.Context) ([]sim.Fault, error) {
-	cv, err := ts.Compile()
-	if err != nil {
-		return nil, err
-	}
-	singles := sim.AllSingleFaults(ts.Array)
+// Normal valve against the compiled vector set and returns the undetected
+// ones. On a fully covered array the result is empty — the paper's
+// single-fault guarantee.
+func VerifySingleFaults(ctx context.Context, cv *sim.CompiledVectors) ([]sim.Fault, error) {
+	singles := sim.AllSingleFaults(cv.Simulator().Array())
 	sets := make([][]sim.Fault, len(singles))
 	for i := range singles {
 		sets[i] = singles[i : i+1]
@@ -261,16 +249,12 @@ func (ts *TestSet) VerifySingleFaults(ctx context.Context) ([]sim.Fault, error) 
 }
 
 // VerifyDoubleFaults exhaustively checks every pair of stuck-at faults on
-// distinct valves (the paper's two-fault guarantee, Sec. III-A/III-C) and
-// returns undetected pairs. The pair sweep is sharded across all CPUs
-// against one compiled vector set; cost is O(nv^2) simulations, intended
+// distinct valves (the paper's two-fault guarantee, Sec. III-A/III-C)
+// against the compiled vector set and returns undetected pairs. The pair
+// sweep is sharded across all CPUs; cost is O(nv^2) simulations, intended
 // for the small arrays. maxPairs > 0 truncates the scan for spot checks.
-func (ts *TestSet) VerifyDoubleFaults(ctx context.Context, maxPairs int) ([][2]sim.Fault, error) {
-	cv, err := ts.Compile()
-	if err != nil {
-		return nil, err
-	}
-	singles := sim.AllSingleFaults(ts.Array)
+func VerifyDoubleFaults(ctx context.Context, cv *sim.CompiledVectors, maxPairs int) ([][2]sim.Fault, error) {
+	singles := sim.AllSingleFaults(cv.Simulator().Array())
 	// Stream the O(nv^2) pair space through fixed-size windows: each window
 	// is evaluated in parallel, but only one window of pairs is ever held in
 	// memory, and escape order stays the sequential scan order.

@@ -67,7 +67,7 @@ func TestSingleFaultGuarantee(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		a := grid.MustNewStandard(n, n)
 		ts := gen(t, a, Config{})
-		escaped, err := ts.VerifySingleFaults(context.Background())
+		escaped, err := VerifySingleFaults(context.Background(), compile(t, ts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestSingleFaultGuarantee(t *testing.T) {
 func TestTwoFaultGuarantee(t *testing.T) {
 	a := grid.MustNewStandard(4, 4)
 	ts := gen(t, a, Config{})
-	escaped, err := ts.VerifyDoubleFaults(context.Background(), 0)
+	escaped, err := VerifyDoubleFaults(context.Background(), compile(t, ts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTwoFaultGuaranteeWithObstacles(t *testing.T) {
 	if len(ts.UncoveredPath) > 0 || len(ts.UncoveredCut) > 0 {
 		t.Fatalf("uncovered valves: %v / %v", ts.UncoveredPath, ts.UncoveredCut)
 	}
-	escaped, err := ts.VerifyDoubleFaults(context.Background(), 0)
+	escaped, err := VerifyDoubleFaults(context.Background(), compile(t, ts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,9 @@ func TestTwoFaultGuaranteeWithObstacles(t *testing.T) {
 func TestCampaign(t *testing.T) {
 	a := grid.MustNewStandard(6, 6)
 	ts := gen(t, a, Config{})
+	cv := compile(t, ts)
 	for k := 1; k <= 5; k++ {
-		res, err := ts.Campaign(context.Background(), sim.CampaignConfig{Trials: 500, NumFaults: k, Seed: int64(k)})
+		res, err := cv.RunCampaign(context.Background(), sim.CampaignConfig{Trials: 500, NumFaults: k, Seed: int64(k)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestCampaignWithLeakFaults(t *testing.T) {
 	for i, p := range ts.LeakPairs {
 		pairs[i] = [2]grid.ValveID{p[0], p[1]}
 	}
-	res, err := ts.Campaign(context.Background(), sim.CampaignConfig{
+	res, err := compile(t, ts).RunCampaign(context.Background(), sim.CampaignConfig{
 		Trials: 300, NumFaults: 2, Seed: 7, LeakPairs: pairs,
 	})
 	if err != nil {
@@ -156,10 +157,21 @@ func TestGenerateRejectsInvalidArray(t *testing.T) {
 	}
 }
 
+// compile binds the test set's vectors to a simulator, as every campaign
+// and verify sweep requires.
+func compile(t *testing.T, ts *TestSet) *sim.CompiledVectors {
+	t.Helper()
+	cv, err := ts.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cv
+}
+
 func TestVerifyDoubleFaultsTruncation(t *testing.T) {
 	a := grid.MustNewStandard(3, 3)
 	ts := gen(t, a, Config{})
-	if _, err := ts.VerifyDoubleFaults(context.Background(), 10); err != nil {
+	if _, err := VerifyDoubleFaults(context.Background(), compile(t, ts), 10); err != nil {
 		t.Fatal(err)
 	}
 }

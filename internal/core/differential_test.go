@@ -115,7 +115,7 @@ func TestDifferentialEngines(t *testing.T) {
 			if len(ts.UncoveredPath) > 0 || len(ts.UncoveredCut) > 0 {
 				continue // cut family may be limited by the layout; not this test's subject
 			}
-			escapes, err := ts.VerifySingleFaults(context.Background())
+			escapes, err := VerifySingleFaults(context.Background(), compile(t, ts))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -263,9 +263,8 @@ func TestEngineStrings(t *testing.T) {
 // internal/core; this is the cut-side regression.)
 func TestTwoFaultMaskingExcluded(t *testing.T) {
 	a := grid.MustNewStandard(3, 3)
-	s := sim.MustNew(a)
 	res := generate(t, a, Options{})
-	vecs := res.Vectors(a)
+	cv := sim.MustNew(a).Compile(res.Vectors(a))
 	normal := a.NormalValves()
 	for _, v1 := range normal {
 		for _, v2 := range normal {
@@ -276,7 +275,7 @@ func TestTwoFaultMaskingExcluded(t *testing.T) {
 				{Kind: sim.StuckAt1, A: v2},
 			}
 			// A lone stuck-at-1 must always be caught by the cut set.
-			if !s.Detects(vecs, faults) {
+			if !cv.Detects(faults) {
 				t.Fatalf("stuck-at-1 on %d undetected by cuts", v2)
 			}
 		}

@@ -99,10 +99,10 @@ func TestVectorsDetectInjectedLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.MustNew(a)
+	cv := sim.MustNew(a).Compile(res.Vectors)
 	for _, p := range res.Pairs {
 		fault := []sim.Fault{{Kind: sim.ControlLeak, A: p[0], B: p[1]}}
-		if !s.Detects(res.Vectors, fault) {
+		if !cv.Detects(fault) {
 			t.Fatalf("injected leak %v escapes the vector set", p)
 		}
 	}

@@ -72,3 +72,29 @@ func TestWarmSolveViewAllocationFree(t *testing.T) {
 		t.Fatalf("cold SolveView allocates %v objects per solve, want 0", cold)
 	}
 }
+
+// BenchmarkLPSolveViewWarm times the branch-and-bound node solve: a
+// warm-started SolveView from the root's optimal basis after one bound
+// fix, on the same LP as TestWarmSolveViewAllocationFree.
+func BenchmarkLPSolveViewWarm(b *testing.B) {
+	p := buildAllocLP()
+	sv := NewSolver(p)
+	root := sv.SolveView(nil, nil, nil, 0)
+	if root.Status != Optimal {
+		b.Fatalf("root solve: %v", root.Status)
+	}
+	warm := append([]int8(nil), root.Basis...)
+	lb := make([]float64, p.N())
+	ub := make([]float64, p.N())
+	for j := range lb {
+		lb[j], ub[j] = p.Bounds(j)
+	}
+	ub[0] = math.Max(lb[0], math.Floor(root.X[0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := sv.SolveView(lb, ub, warm, 0); v.Status != Optimal {
+			b.Fatalf("warm solve: %v", v.Status)
+		}
+	}
+}

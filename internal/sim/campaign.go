@@ -351,14 +351,8 @@ func (cv *CompiledVectors) DetectsBatch(ctx context.Context, faultSets [][]Fault
 
 // RunCampaign injects cfg.NumFaults random faults per trial (stuck-at-0 or
 // stuck-at-1 on distinct Normal valves, plus control leaks if configured)
-// and counts how many trials the vector set detects. Trials are sharded
-// across cfg.Workers goroutines; for a fixed Seed the result is identical
-// for any worker count.
-func (s *Simulator) RunCampaign(ctx context.Context, vectors []*Vector, cfg CampaignConfig) (CampaignResult, error) {
-	return s.Compile(vectors).RunCampaign(ctx, cfg)
-}
-
-// RunCampaign runs the campaign against the compiled vector set.
+// and counts how many trials the compiled vector set detects. Trials are
+// sharded across cfg.Workers goroutines.
 //
 // Cancelling ctx stops the campaign promptly: all workers drain, and the
 // partial result (Trials reflecting only the trials actually evaluated) is

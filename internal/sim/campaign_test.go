@@ -13,7 +13,7 @@ import (
 // on error.
 func mustCampaign(t *testing.T, s *Simulator, vecs []*Vector, cfg CampaignConfig) CampaignResult {
 	t.Helper()
-	res, err := s.RunCampaign(context.Background(), vecs, cfg)
+	res, err := s.Compile(vecs).RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

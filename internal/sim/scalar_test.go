@@ -1,10 +1,12 @@
 package sim
 
 // The one-universe-at-a-time reference implementations of the word
-// engine's entry points: RunCampaign, DetectsBatch and Responses. They
-// share the production simulator (detectingVector, applyFaults,
-// readingsInto) and the per-trial seeding, and exist only as the oracle
-// of the differential tests.
+// engine's entry points: RunCampaign, DetectsBatch and Responses, plus
+// Detects and DetectingVector, which recompute the golden readings on
+// every call instead of compiling the vectors. They share the production
+// simulator (detectingVector, applyFaults, readingsInto) and the
+// per-trial seeding, and exist only as the oracle of the differential
+// tests.
 
 import (
 	"context"
@@ -95,4 +97,33 @@ func (cv *CompiledVectors) responsesScalar(faultSets [][]Fault) *ResponseMatrix 
 		}
 	}
 	return m
+}
+
+// Detects reports whether the vector set distinguishes the faulty chip from
+// a fault-free one: some vector's sink readings differ. It is the
+// uncompiled reference for CompiledVectors.Detects.
+func (s *Simulator) Detects(vectors []*Vector, faults []Fault) bool {
+	return s.DetectingVector(vectors, faults) >= 0
+}
+
+// DetectingVector returns the index of the first vector that exposes the
+// fault set, or -1.
+func (s *Simulator) DetectingVector(vectors []*Vector, faults []Fault) int {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	golden := make([]bool, len(s.sinkNodes))
+	for i, vec := range vectors {
+		s.effIntoBase(sc.eff, vec)
+		s.readingsInto(sc, golden)
+		if !s.applyFaults(sc.eff, vec, faults) {
+			continue // faults do not change this vector's physical state
+		}
+		s.readingsInto(sc, sc.out)
+		for j := range golden {
+			if golden[j] != sc.out[j] {
+				return i
+			}
+		}
+	}
+	return -1
 }

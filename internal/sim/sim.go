@@ -356,35 +356,6 @@ func (s *Simulator) Readings(vec *Vector, faults []Fault) []bool {
 	return s.readingsInto(sc, make([]bool, len(s.sinkNodes)))
 }
 
-// Detects reports whether the vector set distinguishes the faulty chip from
-// a fault-free one: some vector's sink readings differ. For repeated queries
-// against one vector set, Compile once and use CompiledVectors.Detects.
-func (s *Simulator) Detects(vectors []*Vector, faults []Fault) bool {
-	return s.DetectingVector(vectors, faults) >= 0
-}
-
-// DetectingVector returns the index of the first vector that exposes the
-// fault set, or -1.
-func (s *Simulator) DetectingVector(vectors []*Vector, faults []Fault) int {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	golden := make([]bool, len(s.sinkNodes))
-	for i, vec := range vectors {
-		s.effIntoBase(sc.eff, vec)
-		s.readingsInto(sc, golden)
-		if !s.applyFaults(sc.eff, vec, faults) {
-			continue // faults do not change this vector's physical state
-		}
-		s.readingsInto(sc, sc.out)
-		for j := range golden {
-			if golden[j] != sc.out[j] {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // AllSingleFaults enumerates every stuck-at fault on the array's Normal
 // valves, for exhaustive guarantee checks.
 func AllSingleFaults(a *grid.Array) []Fault {

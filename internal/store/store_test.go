@@ -527,3 +527,45 @@ func kill9Payload(label string) []byte {
 	}
 	return out
 }
+
+// benchPayload is about the wire size of the 10x10 Table I plan, the
+// middle of what the store holds.
+const benchPayload = 70 << 10
+
+// BenchmarkStorePut times Put of a new entry: the temp-file write, fsync
+// and rename, and the journal line. The 64 MiB budget starts evicting
+// after about 900 entries, as a full cache directory does.
+func BenchmarkStorePut(b *testing.B) {
+	s := Open(Options{Dir: b.TempDir(), CapBytes: 64 << 20})
+	defer s.Close()
+	val := bytes.Repeat([]byte{'x'}, benchPayload)
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = key(fmt.Sprint("put-", i))
+	}
+	b.SetBytes(benchPayload)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Put(keys[i], val)
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.Mode != "ok" || st.Writes != b.N {
+		b.Fatalf("stats after %d puts: %+v", b.N, st)
+	}
+}
+
+// BenchmarkStoreGet times a verified Get hit: the file read, the header
+// check and the SHA-256 of the payload, and the journal touch.
+func BenchmarkStoreGet(b *testing.B) {
+	s := Open(Options{Dir: b.TempDir()})
+	defer s.Close()
+	k := key("get")
+	s.Put(k, bytes.Repeat([]byte{'x'}, benchPayload))
+	b.SetBytes(benchPayload)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, ok := s.Get(k); !ok || len(got) != benchPayload {
+			b.Fatal("verified Get missed")
+		}
+	}
+}
