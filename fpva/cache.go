@@ -94,7 +94,7 @@ func compiledKey(p *Plan) string {
 	g, ts := p.a.g, p.ts
 	nv, vecs := g.NumValves(), ts.AllVectors()
 	text := grid.Marshal(g)
-	b := make([]byte, 0, len(text)+4*len(g.Ports())+len(vecs)*(nv+7)/8+8*len(ts.LeakPairs)+16)
+	b := make([]byte, 0, len(text)+8*len(g.Ports())+len(vecs)*(nv+7)/8+8*len(ts.LeakPairs)+16)
 	b = append(b, text...)
 	b = binary.AppendUvarint(b, uint64(len(g.Ports())))
 	for _, pt := range g.Ports() {
