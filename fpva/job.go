@@ -377,8 +377,10 @@ func (j *Job) finish(state JobState, err error) {
 	j.doneAt = time.Now()
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; no-op if already canceled
-	close(j.done)
+	// Tally the outcome before waking waiters, so Stats read after Wait
+	// returns counts this job as terminal.
 	j.svc.noteTerminal(j.kind, state)
+	close(j.done)
 }
 
 // finishPlan completes a generate job successfully. wire, when non-nil,

@@ -542,12 +542,8 @@ func (s *Service) Close() error {
 
 // register installs a new job under the service lock (inPlan, for
 // campaign, verify and diagnose jobs, is set before the job becomes
-// visible to lookups). A nil ctx means context.Background(). It fails
-// once the service is closed.
+// visible to lookups). It fails once the service is closed.
 func (s *Service) register(kind JobKind, ctx context.Context, progress Progress, inPlan *Plan) (*Job, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -660,6 +656,9 @@ func (s *Service) releaseSlot() { <-s.sem }
 // submission identical to an in-flight one attaches to that solve instead
 // of starting its own.
 func (s *Service) SubmitGenerate(ctx context.Context, a *Array, opts ...GenOption) (*Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	cfg := genConfig{blockSize: 5}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -682,6 +681,9 @@ func (s *Service) SubmitGenerate(ctx context.Context, a *Array, opts ...GenOptio
 // SubmitCampaign queues a fault-injection campaign job against the plan.
 // Options are those of Plan.Campaign.
 func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignOption) (*Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var cfg campaignConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -705,6 +707,9 @@ func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignO
 // stuck-at fault, then every distinct pair (maxPairs > 0 truncates the
 // O(nv^2) pair scan).
 func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	j, err := s.register(JobVerify, ctx, nil, p)
 	if err != nil {
 		return nil, err
@@ -738,6 +743,9 @@ func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job
 // response-matrix build; Job.CacheHit reports whether the table was
 // reused. The service stores nothing on p.
 func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation, opts ...DiagnoseOption) (*Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var cfg diagnoseConfig
 	for _, opt := range opts {
 		opt(&cfg)
