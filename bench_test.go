@@ -159,8 +159,8 @@ func BenchmarkVerifySingleFaults(b *testing.B) {
 	var escapes []sim.Fault
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The compile stays inside the timed loop, as it was before the
-		// sweep took compiled vectors, so the rows stay comparable.
+		// The compile stays inside the timed loop, so the row stays
+		// comparable across recordings.
 		cv, err := ts.Compile()
 		if err != nil {
 			b.Fatal(err)
@@ -508,9 +508,9 @@ func benchDecodePlan(b *testing.B, name string) {
 }
 
 // benchCompile times TestSet.Compile on a Table I plan: the fault-free
-// state, golden readings and single-fault tables of every vector. Every
-// campaign and verify job paid this (a verify job twice) before the
-// service shared one compiled entry per plan content.
+// state, golden readings and single-fault tables of every vector, which
+// the service builds once per plan content and shares among campaign,
+// verify and diagnose jobs.
 func benchCompile(b *testing.B, name string) {
 	c, err := bench.FindCase(name)
 	if err != nil {

@@ -58,9 +58,9 @@ const maxCompiledArtifacts = 16
 // compiled is the compiled state of one plan content, shared by every
 // campaign, verify and diagnose run against that content: the vector set
 // bound to its simulator, and one diagnosis signature table per candidate
-// universe, added on first use. Both are immutable once built.
+// universe, added under mu on first use. Each is immutable once built.
 type compiled struct {
-	key string // compiledKey of the content
+	key string // compiledKey of the content; "" for a plan's own entry
 	cv  *sim.CompiledVectors
 
 	mu   sync.Mutex
