@@ -500,8 +500,8 @@ func decodedCopies(t *testing.T, plan *fpva.Plan, n int) []*fpva.Plan {
 	return out
 }
 
-// planJobs submits a campaign, a verify and a diagnose job, one per plan
-// in ps (cycling), and returns their handles in that order.
+// planJobs holds the parameters of one campaign, one verify and one
+// diagnose job against a plan.
 type planJobs struct {
 	campaignOpts []fpva.CampaignOption
 	maxPairs     int
@@ -509,6 +509,8 @@ type planJobs struct {
 	diagOpts     []fpva.DiagnoseOption
 }
 
+// submit queues the three jobs, each on its own copy of the plan, and
+// returns their handles in that order.
 func (pj planJobs) submit(t *testing.T, svc *fpva.Service, camp, ver, diag *fpva.Plan) [3]*fpva.Job {
 	t.Helper()
 	ctx := context.Background()
