@@ -4,9 +4,9 @@ GO ?= go
 
 # Where `make bench-json` records the benchmark suite (bumped per PR so the
 # repo keeps its performance trajectory).
-BENCH_OUT ?= BENCH_pr16.json
+BENCH_OUT ?= BENCH_pr17.json
 # The previous recording, for `make bench-diff`.
-BENCH_PREV ?= BENCH_pr15.json
+BENCH_PREV ?= BENCH_pr16.json
 # The committed baseline `make bench-ci` gates against. It has its own
 # variable so that bumping BENCH_OUT does not move the CI gate.
 BENCH_BASE ?= BENCH_pr9.json
@@ -105,13 +105,15 @@ smoke-daemon:
 
 # Fault-injection suite under the race detector: the durable plan
 # store's crash/corruption/EIO tests (including the kill -9 child-
-# process rounds), the service-level store and admission tests, and
+# process rounds), the service-level store and admission tests,
 # repeated bursts of campaign, verify and diagnose jobs racing to build
-# and extend one shared compiled entry.
+# and extend one shared compiled entry, and the block sweep's workers
+# claiming blocks against the scalar oracle at 1, 2 and 4 processors.
 chaos:
 	$(GO) test -race -count 2 ./internal/store
 	$(GO) test -race -run 'TestCacheDir|TestStoreDegraded|TestMaxPending|TestJobTimeout' ./fpva
 	$(GO) test -race -count 10 -run 'TestSharedCompileBurst' ./fpva
+	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestCampaignEngineDifferential|TestDetectsBatchMatchesScalarRandomized|TestCampaignOnTrialsFinalCall' ./internal/sim
 	$(GO) test -race -run 'TestAuth|TestRateLimit|TestQueueFull|TestHealthz|TestConfig|TestValidate' ./cmd/fpvad
 
 clean:

@@ -128,6 +128,7 @@ func benchCampaign(b *testing.B, faults, workers int) {
 		}
 	}
 	b.ReportMetric(res.DetectionRate(), "detection_rate")
+	b.ReportMetric(float64(res.Floods), "floods")
 }
 
 // Sec. IV fault-injection study: 10 000 random injections per fault count
@@ -193,6 +194,7 @@ func BenchmarkCampaign_5Faults_Compiled(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.DetectionRate(), "detection_rate")
+	b.ReportMetric(float64(res.Floods), "floods")
 }
 
 func benchBaseline(b *testing.B, name string) {

@@ -73,6 +73,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -520,6 +521,16 @@ func statusForSubmitError(err error) int {
 	return http.StatusBadRequest
 }
 
+// clampWorkers caps a request's parallelism at limit (GOMAXPROCS). A job
+// starts one goroutine, and for ILP solves one LP solver, per worker, and
+// the request chooses the count; more workers than processors add
+// nothing. Campaign and diagnose answers are identical for any worker
+// count, and ILP answers whenever the solve completes, so the cap changes
+// no answer.
+func clampWorkers(n, limit int) int {
+	return min(n, limit)
+}
+
 func (s *server) submitGenerate(req api.SubmitRequest) (*fpva.Job, error) {
 	if len(req.Array) == 0 {
 		return nil, fmt.Errorf("generate job needs an %q payload", "array")
@@ -540,7 +551,7 @@ func (s *server) submitGenerate(req api.SubmitRequest) (*fpva.Job, error) {
 			opts = append(opts, fpva.WithoutLeakage())
 		}
 		if p.SolverWorkers > 0 {
-			opts = append(opts, fpva.WithSolverWorkers(p.SolverWorkers))
+			opts = append(opts, fpva.WithSolverWorkers(clampWorkers(p.SolverWorkers, runtime.GOMAXPROCS(0))))
 		}
 		if p.PathEngine != "" {
 			eng, err := fpva.ParsePathEngine(p.PathEngine)
@@ -592,7 +603,7 @@ func (s *server) submitPlanJob(req api.SubmitRequest) (*fpva.Job, error) {
 			opts = append(opts, fpva.WithSeed(p.Seed))
 		}
 		if p.Workers > 0 {
-			opts = append(opts, fpva.WithCampaignWorkers(p.Workers))
+			opts = append(opts, fpva.WithCampaignWorkers(clampWorkers(p.Workers, runtime.GOMAXPROCS(0))))
 		}
 		if p.MaxEscapes > 0 {
 			opts = append(opts, fpva.WithMaxEscapes(p.MaxEscapes))
@@ -615,7 +626,7 @@ func (s *server) submitDiagnose(plan *fpva.Plan, p *api.DiagnoseParams) (*fpva.J
 			obs = append(obs, fpva.Observation{Vector: o.Vector, Readings: o.Readings})
 		}
 		if p.Workers > 0 {
-			opts = append(opts, fpva.WithDiagnoseWorkers(p.Workers))
+			opts = append(opts, fpva.WithDiagnoseWorkers(clampWorkers(p.Workers, runtime.GOMAXPROCS(0))))
 		}
 		if p.Budget > 0 {
 			opts = append(opts, fpva.WithProbeBudget(p.Budget))

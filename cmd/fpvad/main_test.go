@@ -829,6 +829,22 @@ func TestSubprocessDaemonKill9KeepsServing(t *testing.T) {
 	}
 }
 
+// TestClampWorkers pins the cap on request parallelism: a request may ask
+// for fewer workers than the limit, never more. The cap is tested as a
+// pure function, so no test starts the goroutines a huge request asks for.
+func TestClampWorkers(t *testing.T) {
+	for _, tc := range []struct{ n, limit, want int }{
+		{1, 2, 1},
+		{2, 2, 2},
+		{3, 2, 2},
+		{1 << 40, 4, 4},
+	} {
+		if got := clampWorkers(tc.n, tc.limit); got != tc.want {
+			t.Errorf("clampWorkers(%d, %d) = %d, want %d", tc.n, tc.limit, got, tc.want)
+		}
+	}
+}
+
 // TestParseFlags is the table-driven exit-code contract for the daemon's
 // flag surface.
 func TestParseFlags(t *testing.T) {

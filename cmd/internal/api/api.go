@@ -27,7 +27,8 @@ type SubmitRequest struct {
 	Diagnose *DiagnoseParams `json:"diagnose,omitempty"`
 }
 
-// GenerateParams tunes a generate job.
+// GenerateParams tunes a generate job. fpvad caps SolverWorkers at its
+// GOMAXPROCS.
 type GenerateParams struct {
 	Direct        bool   `json:"direct,omitempty"`
 	Block         int    `json:"block,omitempty"`
@@ -37,7 +38,8 @@ type GenerateParams struct {
 	SolverWorkers int    `json:"solverWorkers,omitempty"`
 }
 
-// CampaignParams tunes a campaign job.
+// CampaignParams tunes a campaign job. fpvad caps Workers at its
+// GOMAXPROCS; the result is the same for any worker count.
 type CampaignParams struct {
 	Trials     int   `json:"trials,omitempty"`
 	Faults     int   `json:"faults,omitempty"`
@@ -54,8 +56,9 @@ type VerifyParams struct {
 
 // DiagnoseParams tunes a diagnose job. Observations are the vector
 // readings already taken on the device under test; the job narrows the
-// candidate set against them and plans the follow-up probes. The
-// "planner" and "engine" fields of older clients are ignored, like any
+// candidate set against them and plans the follow-up probes. fpvad caps
+// Workers at its GOMAXPROCS; the result is the same for any worker count.
+// The "planner" and "engine" fields of older clients are ignored, like any
 // unknown field.
 type DiagnoseParams struct {
 	Observations []Observation `json:"observations,omitempty"`

@@ -8,8 +8,10 @@
 //     t trials over n vectors runs n BFS passes for the golden side instead
 //     of t*n.
 //   - Shard trials. Every trial derives its fault draw from an RNG seeded
-//     purely by (Seed, trial index), so trials are independent of scheduling
-//     and the result is bit-identical for any worker count.
+//     purely by (Seed, trial index), and trial t always lands in block
+//     t/1024 of the block sweep (ppsfp.go), so trials are independent of
+//     scheduling and the result — flood count included — is bit-identical
+//     for any worker count.
 package sim
 
 import (
@@ -43,8 +45,8 @@ type CampaignConfig struct {
 	// faults drawn from these candidate pairs alongside stuck-at faults.
 	LeakPairs [][2]grid.ValveID
 	// OnTrials, when non-nil, observes campaign progress: it receives
-	// strictly increasing completed-trial counts (roughly once per scheduled
-	// trial block). A campaign that completes — any worker count — always
+	// strictly increasing completed-trial counts, once per completed
+	// 1,024-trial block. A campaign that completes — any worker count — always
 	// ends with a final call at (Trials, Trials); a cancelled campaign
 	// reports only the trials actually evaluated. It is invoked from worker
 	// goroutines under an internal lock, so it must not call back into the
@@ -64,6 +66,11 @@ type CampaignResult struct {
 	// Escapes holds up to MaxEscapes undetected fault sets (lowest trial
 	// indices first) for diagnosis.
 	Escapes [][]Fault
+	// Floods counts the propagation passes (packed 64-lane word floods) the
+	// campaign ran: the lanes no lookup or mask rule could settle. Block
+	// boundaries are fixed, so a completed campaign's count is identical
+	// for any worker count.
+	Floods int
 }
 
 // DetectionRate returns Detected/Trials.
@@ -100,10 +107,13 @@ type CompiledVectors struct {
 	// readings; detOpen is the mirror table for opening valve v alone.
 	// Closing valves only ever removes reachability and opening only ever
 	// adds it, so these single-fault tables settle most fault universes
-	// without any propagation — see sweepWord for the monotonicity
+	// without any propagation — see classify for the monotonicity
 	// argument. A single-stuck-at universe always resolves by lookup.
 	detClosure [][]uint64
 	detOpen    [][]uint64
+	// allDark[i] / allLit[i]: every sink of vector i reads dark / lit
+	// fault-free, so closures alone / openings alone cannot change it.
+	allDark, allLit []bool
 }
 
 // Compile precomputes the fault-free effective states and sink readings of
@@ -120,6 +130,8 @@ func (s *Simulator) Compile(vectors []*Vector) *CompiledVectors {
 		edgeWords:  make([][]uint64, len(vectors)),
 		detClosure: make([][]uint64, len(vectors)),
 		detOpen:    make([][]uint64, len(vectors)),
+		allDark:    make([]bool, len(vectors)),
+		allLit:     make([]bool, len(vectors)),
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
@@ -129,6 +141,11 @@ func (s *Simulator) Compile(vectors []*Vector) *CompiledVectors {
 		copy(sc.eff, base)
 		cv.base[i] = base
 		cv.golden[i] = s.readingsInto(sc, make([]bool, len(s.sinkNodes)))
+		cv.allDark[i], cv.allLit[i] = true, true
+		for _, lit := range cv.golden[i] {
+			cv.allDark[i] = cv.allDark[i] && !lit
+			cv.allLit[i] = cv.allLit[i] && lit
+		}
 		words := make([]uint64, len(base))
 		for id, open := range base {
 			if open {
@@ -163,8 +180,8 @@ func (cv *CompiledVectors) compileSingleFaultTables() {
 	s := cv.s
 	nv := s.arr.NumValves()
 	chunks := (nv + 63) / 64
-	ws := s.getWordScratch()
-	defer s.putWordScratch(ws)
+	bs := s.getBlockScratch()
+	defer s.putBlockScratch(bs)
 	for i := range cv.vecs {
 		detC := make([]uint64, chunks)
 		detO := make([]uint64, chunks)
@@ -178,50 +195,41 @@ func (cv *CompiledVectors) compileSingleFaultTables() {
 			// Closure universes: clear lane v-lo on valve v's edges where
 			// the valve is base-open (a closed valve's closure is the
 			// fault-free universe and its lane diff stays zero).
-			copy(ws.edgeEff, cv.edgeWords[i])
+			copy(bs.edgeEff, cv.edgeWords[i])
 			for v := lo; v < hi; v++ {
 				if words[v] == 0 {
 					continue
 				}
 				bit := uint64(1) << uint(v-lo)
 				for _, e := range s.valveEdges[v] {
-					ws.edgeEff[e] &^= bit
+					bs.edgeEff[e] &^= bit
 				}
 			}
-			detC[c] = cv.singleFlipDiff(ws, i)
+			detC[c] = cv.singleFlipDiff(bs, i)
 			// Open universes: the mirror image on base-closed valves.
-			copy(ws.edgeEff, cv.edgeWords[i])
+			copy(bs.edgeEff, cv.edgeWords[i])
 			for v := lo; v < hi; v++ {
 				if words[v] != 0 {
 					continue
 				}
 				bit := uint64(1) << uint(v-lo)
 				for _, e := range s.valveEdges[v] {
-					ws.edgeEff[e] |= bit
+					bs.edgeEff[e] |= bit
 				}
 			}
-			detO[c] = cv.singleFlipDiff(ws, i)
+			detO[c] = cv.singleFlipDiff(bs, i)
 		}
 		cv.detClosure[i] = detC
 		cv.detOpen[i] = detO
 	}
 }
 
-// singleFlipDiff floods ws.edgeEff and returns, per lane, whether the sink
+// singleFlipDiff floods bs.edgeEff and returns, per lane, whether the sink
 // readings differ from vector i's golden ones.
-func (cv *CompiledVectors) singleFlipDiff(ws *wordScratch, i int) uint64 {
+func (cv *CompiledVectors) singleFlipDiff(bs *blockScratch, i int) uint64 {
 	s := cv.s
-	reach := s.g.BFSWordsInto(ws.reach, ws.queue, ws.inq, s.srcNodes, ^uint64(0), ws.edgeEff)
-	diff := uint64(0)
-	golden := cv.golden[i]
-	for j, snk := range s.sinkNodes {
-		g := uint64(0)
-		if golden[j] {
-			g = ^uint64(0)
-		}
-		diff |= reach[snk] ^ g
-	}
-	return diff
+	s.g.BFSWordsInto(bs.reach, bs.queue, bs.inq, s.srcNodes, ^uint64(0), bs.edgeEff)
+	return cv.packDiff(bs, i)
 }
 
 // Simulator returns the simulator the vectors were compiled against.
@@ -273,17 +281,17 @@ func (cv *CompiledVectors) DetectingVector(faults []Fault) int {
 }
 
 // DetectsBatch evaluates many fault sets against the compiled vectors and
-// reports per set whether it is detected. Fault sets are packed 64 to a
-// word and evaluated bit-parallel (PPSFP); words are sharded across workers
-// (<= 0 means runtime.NumCPU()). Results are position-stable regardless of
-// worker count. This is the engine behind the exhaustive single- and
-// double-fault sweeps.
+// reports per set whether it is detected. Fault set k is universe k of the
+// block sweep (lane k%64 of word k/64 of block k/1024); blocks are sharded
+// across workers (<= 0 means runtime.NumCPU()). Results are
+// position-stable regardless of worker count. This is the engine behind
+// the exhaustive single- and double-fault sweeps.
 //
 // Cancelling ctx stops the sweep promptly. The returned slice is then
-// trimmed to the longest fully-evaluated prefix (possibly empty) and
-// returned together with ctx.Err(), so callers can tell evaluated entries
-// from never-evaluated ones; on a nil error it always has len(faultSets)
-// entries.
+// trimmed to the longest fully-evaluated prefix of whole blocks (possibly
+// empty) and returned together with ctx.Err(), so callers can tell
+// evaluated entries from never-evaluated ones; on a nil error it always
+// has len(faultSets) entries.
 func (cv *CompiledVectors) DetectsBatch(ctx context.Context, faultSets [][]Fault, workers int) ([]bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -292,74 +300,63 @@ func (cv *CompiledVectors) DetectsBatch(ctx context.Context, faultSets [][]Fault
 	if len(faultSets) == 0 {
 		return out, ctx.Err()
 	}
-	nWords := (len(faultSets) + 63) / 64
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > nWords {
-		workers = nWords
-	}
-	// done is indexed by word; each entry is written by the single worker
-	// that claimed the word, and read only after the WaitGroup barrier.
-	done := make([]bool, nWords)
+	nBlocks := (len(faultSets) + blockLanes - 1) / blockLanes
+	// done is indexed by block; each entry is written by the single worker
+	// that claimed the block, and read only after the workers have joined.
+	done := make([]bool, nBlocks)
 	var next atomic.Int64
-	run := func() {
-		ws := cv.s.getWordScratch()
-		defer cv.s.putWordScratch(ws)
+	parallel(workerCount(workers, nBlocks), func() {
+		bs := cv.s.getBlockScratch()
+		defer cv.s.putBlockScratch(bs)
 		for ctx.Err() == nil {
-			w := int(next.Add(1)) - 1
-			if w >= nWords {
+			b := int(next.Add(1)) - 1
+			if b >= nBlocks {
 				return
 			}
-			start := w * 64
-			n := len(faultSets) - start
-			if n > 64 {
-				n = 64
+			start := b * blockLanes
+			sets := faultSets[start:min(start+blockLanes, len(faultSets))]
+			cv.s.loadBlock(bs, sets)
+			cv.sweepBlock(bs)
+			for k := range sets {
+				out[start+k] = bs.firstIdx[k] >= 0
 			}
-			cv.sweepWord(ws, faultSets[start:start+n], laneMask(n))
-			for lane := 0; lane < n; lane++ {
-				out[start+lane] = ws.firstIdx[lane] >= 0
-			}
-			done[w] = true
+			done[b] = true
 		}
-	}
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		evaluated := 0
-		for w := 0; w < nWords && done[w]; w++ {
-			evaluated = (w + 1) * 64
-		}
-		if evaluated > len(faultSets) {
-			evaluated = len(faultSets)
+		for b := 0; b < nBlocks && done[b]; b++ {
+			evaluated = min((b+1)*blockLanes, len(faultSets))
 		}
 		return out[:evaluated], err
 	}
 	return out, nil
 }
 
+// loadBlock loads up to blockLanes fault sets as one block, set k in lane
+// k%64 of word k/64.
+//
+//fpva:allocfree
+func (s *Simulator) loadBlock(bs *blockScratch, sets [][]Fault) {
+	bs.reset()
+	for start := 0; start < len(sets); start += 64 {
+		s.loadWord(bs, sets[start:min(start+64, len(sets))])
+	}
+}
+
 // RunCampaign injects cfg.NumFaults random faults per trial (stuck-at-0 or
 // stuck-at-1 on distinct Normal valves, plus control leaks if configured)
-// and counts how many trials the compiled vector set detects. Trials are
-// sharded across cfg.Workers goroutines.
+// and counts how many trials the compiled vector set detects. Workers
+// claim 1,024-trial blocks (block b is always trials [1024b, 1024b+1024))
+// across cfg.Workers goroutines.
 //
-// Cancelling ctx stops the campaign promptly: all workers drain, and the
-// partial result (Trials reflecting only the trials actually evaluated) is
-// returned together with ctx.Err(). A completed campaign is bit-identical
-// for any worker count: every trial's fault draw depends only on
-// (Seed, trial index), and the bit-parallel engine reproduces the scalar
-// simulator's per-trial first-detecting vector exactly.
+// Cancelling ctx stops the campaign between blocks: all workers drain, and
+// the partial result (Trials reflecting only the trials actually
+// evaluated) is returned together with ctx.Err(). A completed campaign is
+// bit-identical for any worker count: every trial's fault draw depends
+// only on (Seed, trial index), the block sweep reproduces the scalar
+// simulator's per-trial first-detecting vector exactly, and which trials
+// share a flood depends only on the fixed block boundaries.
 func (cv *CompiledVectors) RunCampaign(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -367,7 +364,58 @@ func (cv *CompiledVectors) RunCampaign(ctx context.Context, cfg CampaignConfig) 
 	if cfg.Trials <= 0 {
 		return CampaignResult{Trials: cfg.Trials}, ctx.Err()
 	}
-	return cv.runCampaignWords(ctx, cfg)
+	st := newCampaignState(cfg)
+	normal := cv.s.arr.NormalValves()
+	nBlocks := (cfg.Trials + blockLanes - 1) / blockLanes
+	worker := func() {
+		bs := cv.s.getBlockScratch()
+		defer cv.s.putBlockScratch(bs)
+		rng := rand.New(&splitmix64{})
+		fb := newWordFaultScratch(normal, cfg)
+		var det, sims, floods int64
+		var local []escape
+		for ctx.Err() == nil {
+			b := int(st.next.Add(1)) - 1
+			if b >= nBlocks {
+				break
+			}
+			start := b * blockLanes
+			n := min(blockLanes, cfg.Trials-start)
+			bs.reset()
+			for w := 0; w*64 < n; w++ {
+				lanes := min(64, n-w*64)
+				for lane := 0; lane < lanes; lane++ {
+					rng.Seed(trialSeed(cfg.Seed, start+w*64+lane))
+					drawn := randomFaultsInto(rng, normal, cfg, fb.fs)
+					fb.lanes[lane] = append(fb.lanes[lane][:0], drawn...)
+				}
+				cv.s.loadWord(bs, fb.lanes[:lanes])
+			}
+			floods += int64(cv.sweepBlock(bs))
+			for k := 0; k < n; k++ {
+				if idx := bs.firstIdx[k]; idx >= 0 {
+					det++
+					sims += int64(idx) + 1
+					continue
+				}
+				sims += int64(len(cv.vecs))
+				if len(local) < st.maxEscapes {
+					// Trials ascend within a block and a worker's blocks
+					// ascend, so like the scalar reference its first
+					// maxEscapes escapes cover its share of the global
+					// cap. The lane draws were overwritten word by word;
+					// the trial's seed redraws its faults exactly.
+					rng.Seed(trialSeed(cfg.Seed, start+k))
+					drawn := randomFaultsInto(rng, normal, cfg, fb.fs)
+					local = append(local, escape{start + k, append([]Fault(nil), drawn...)})
+				}
+			}
+			st.completed.Add(int64(n))
+			st.report()
+		}
+		st.merge(det, sims, floods, local)
+	}
+	return st.run(ctx, workerCount(cfg.Workers, nBlocks), worker)
 }
 
 // escape is one undetected trial, recorded for the Escapes cap.
@@ -382,9 +430,10 @@ type escape struct {
 type campaignState struct {
 	cfg        CampaignConfig
 	maxEscapes int
-	next       atomic.Int64 // block / word claim counter
+	next       atomic.Int64 // block claim counter
 	detected   atomic.Int64
 	sims       atomic.Int64
+	floods     atomic.Int64
 	completed  atomic.Int64
 	mu         sync.Mutex
 	escapes    []escape
@@ -416,9 +465,10 @@ func (st *campaignState) report() {
 }
 
 // merge folds one worker's tallies and escape list into the shared state.
-func (st *campaignState) merge(det, sims int64, local []escape) {
+func (st *campaignState) merge(det, sims, floods int64, local []escape) {
 	st.detected.Add(det)
 	st.sims.Add(sims)
+	st.floods.Add(floods)
 	if len(local) > 0 {
 		st.mu.Lock()
 		st.escapes = append(st.escapes, local...)
@@ -431,23 +481,12 @@ func (st *campaignState) merge(det, sims int64, local []escape) {
 // happened to win the progress race. It assembles the deterministic result
 // (escapes sorted by trial index, truncated to the cap).
 func (st *campaignState) run(ctx context.Context, workers int, worker func()) (CampaignResult, error) {
-	if workers == 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
+	parallel(workers, worker)
 	res := CampaignResult{
 		Trials:   st.cfg.Trials,
 		Detected: int(st.detected.Load()),
 		Sims:     int(st.sims.Load()),
+		Floods:   int(st.floods.Load()),
 	}
 	sort.Slice(st.escapes, func(i, j int) bool { return st.escapes[i].trial < st.escapes[j].trial })
 	if len(st.escapes) > st.maxEscapes {
@@ -464,72 +503,31 @@ func (st *campaignState) run(ctx context.Context, workers int, worker func()) (C
 	return res, nil
 }
 
-// campaignWorkerCount resolves cfg.Workers against the number of
-// schedulable units (trials or 64-trial words).
-func campaignWorkerCount(cfg CampaignConfig, units int) int {
-	workers := cfg.Workers
+// workerCount resolves a requested worker count (<= 0 means
+// runtime.NumCPU()) against the number of schedulable units.
+func workerCount(workers, units int) int {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > units {
-		workers = units
-	}
-	return workers
+	return min(workers, units)
 }
 
-// runCampaignWords is the bit-parallel (PPSFP) engine: workers claim whole
-// 64-trial words, draw the word's fault universes with the same
-// (Seed, trial) SplitMix64 seeding as the scalar reference, and evaluate all
-// 64 in one sweep per vector. The final partial word is the remainder
-// block; its unused lanes are masked out of the sweep.
-func (cv *CompiledVectors) runCampaignWords(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
-	st := newCampaignState(cfg)
-	normal := cv.s.arr.NormalValves()
-	nWords := (cfg.Trials + 63) / 64
-	worker := func() {
-		ws := cv.s.getWordScratch()
-		defer cv.s.putWordScratch(ws)
-		rng := rand.New(&splitmix64{})
-		fb := newWordFaultScratch(normal, cfg)
-		var det, sims int64
-		var local []escape
-		for ctx.Err() == nil {
-			w := int(st.next.Add(1)) - 1
-			if w >= nWords {
-				break
-			}
-			start := w * 64
-			n := cfg.Trials - start
-			if n > 64 {
-				n = 64
-			}
-			for lane := 0; lane < n; lane++ {
-				rng.Seed(trialSeed(cfg.Seed, start+lane))
-				drawn := randomFaultsInto(rng, normal, cfg, fb.fs)
-				fb.lanes[lane] = append(fb.lanes[lane][:0], drawn...)
-			}
-			cv.sweepWord(ws, fb.lanes[:n], laneMask(n))
-			for lane := 0; lane < n; lane++ {
-				if idx := ws.firstIdx[lane]; idx >= 0 {
-					det++
-					sims += int64(idx) + 1
-				} else {
-					sims += int64(len(cv.vecs))
-					if len(local) < st.maxEscapes {
-						// Lanes ascend within a word and a worker's words
-						// ascend, so like the scalar reference its first
-						// maxEscapes escapes cover its share of the global
-						// cap. Escapes outlive the lane scratch: copy.
-						local = append(local, escape{start + lane, append([]Fault(nil), fb.lanes[lane]...)})
-					}
-				}
-			}
-			st.completed.Add(int64(n))
-			st.report()
-		}
-		st.merge(det, sims, local)
+// parallel runs fn on the given number of goroutines (inline for one) and
+// returns when every copy has returned.
+func parallel(workers int, fn func()) {
+	if workers == 1 {
+		fn()
+		return
 	}
-	return st.run(ctx, campaignWorkerCount(cfg, nWords), worker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	wg.Wait()
 }
 
 // trialSeed mixes the campaign seed and a trial index into an RNG seed
@@ -579,6 +577,29 @@ func newFaultScratch(normal []grid.ValveID, cfg CampaignConfig) *faultScratch {
 		used:   make([]grid.ValveID, 0, 2*n),
 		faults: make([]Fault, 0, n),
 	}
+}
+
+// wordFaultScratch holds one worker's 64 per-lane fault draws, backed by a
+// single slab so a word's draws perform no allocation after construction.
+type wordFaultScratch struct {
+	fs    *faultScratch
+	lanes [64][]Fault
+}
+
+func newWordFaultScratch(normal []grid.ValveID, cfg CampaignConfig) *wordFaultScratch {
+	n := cfg.NumFaults
+	if n > len(normal) {
+		n = len(normal)
+	}
+	if n < 0 {
+		n = 0
+	}
+	w := &wordFaultScratch{fs: newFaultScratch(normal, cfg)}
+	backing := make([]Fault, 64*n)
+	for k := range w.lanes {
+		w.lanes[k] = backing[k*n : k*n : (k+1)*n]
+	}
+	return w
 }
 
 func (fs *faultScratch) isUsed(v grid.ValveID) bool {
@@ -641,13 +662,6 @@ func randomFaultsInto(rng *rand.Rand, normal []grid.ValveID, cfg CampaignConfig,
 	}
 	fs.faults = faults
 	return faults
-}
-
-// randomFaults is the standalone (allocating) form of randomFaultsInto,
-// kept for one-off draws and tests.
-func randomFaults(rng *rand.Rand, normal []grid.ValveID, cfg CampaignConfig) []Fault {
-	fs := newFaultScratch(normal, cfg)
-	return append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...)
 }
 
 // pickLeakPair returns a uniformly random candidate pair whose valves are

@@ -56,6 +56,13 @@ func TestCampaignZeroTrials(t *testing.T) {
 	}
 }
 
+// randomFaults is the standalone (allocating) form of randomFaultsInto,
+// for one-off draws in tests.
+func randomFaults(rng *rand.Rand, normal []grid.ValveID, cfg CampaignConfig) []Fault {
+	fs := newFaultScratch(normal, cfg)
+	return append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...)
+}
+
 // TestRandomFaultsLeakExhaustion reproduces the infinite-retry hazard: more
 // faults requested than the leak pairs and free valves can supply. The draw
 // must terminate and return as many distinct-valve faults as possible.

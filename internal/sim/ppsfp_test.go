@@ -54,46 +54,129 @@ func randomCampaignCase(rng *rand.Rand) (*Simulator, []*Vector, CampaignConfig) 
 	return s, vecs, cfg
 }
 
+// multiSinkCampaignCase is randomCampaignCase on a 4x4 array with two
+// extra meters, H(0,4) and V(4,0), and random vectors only: some of them
+// read lit and dark sinks at once, so neither the all-dark nor the all-lit
+// shortcut may settle their lanes.
+func multiSinkCampaignCase(t *testing.T, rng *rand.Rand) (*Simulator, []*Vector, CampaignConfig) {
+	t.Helper()
+	a := grid.MustNewStandard(4, 4)
+	if err := a.AddSink("m2", a.HValve(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddSink("m3", a.VValve(4, 0)); err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(a)
+	var vecs []*Vector
+	mixed := false
+	for len(vecs) < 8 || !mixed {
+		vec := randomVector(a, rng, "rand")
+		r := s.Readings(vec, nil)
+		mixed = mixed || r[0] != r[1] || r[1] != r[2]
+		vecs = append(vecs, vec)
+	}
+	normal := a.NormalValves()
+	var pairs [][2]grid.ValveID
+	for len(pairs) < 3 {
+		if x, y := normal[rng.Intn(len(normal))], normal[rng.Intn(len(normal))]; x != y {
+			pairs = append(pairs, [2]grid.ValveID{x, y})
+		}
+	}
+	cfg := CampaignConfig{
+		Trials:     65 + rng.Intn(140),
+		NumFaults:  2 + rng.Intn(4),
+		Seed:       rng.Int63(),
+		LeakPairs:  pairs,
+		MaxEscapes: 1 + rng.Intn(4),
+	}
+	return s, vecs, cfg
+}
+
+// sameAnswers compares the answer fields of two campaign results —
+// Trials, Detected, Sims and Escapes. Floods is a cost of the engine that
+// ran, not an answer: the scalar reference runs none.
+func sameAnswers(a, b CampaignResult) bool {
+	a.Floods, b.Floods = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
 // TestCampaignEngineDifferential is the acceptance test for the PPSFP
 // engine: over many randomized arrays, vector sets, and fault mixes, the
 // bit-parallel campaign must produce a CampaignResult — Detected, Sims, and
 // the escape list — bit-identical to the scalar reference, for several worker
-// counts each.
+// counts each, and the same flood count for every worker count. Past the
+// 60 single-block cases, trial counts of 1,023, 1,025 and 2,049 cross
+// block boundaries and end in a partial block and a partial word (the
+// last is two full blocks plus a block of one trial), with leak pairs, on
+// random single-sink cases and on the multi-sink array.
 func TestCampaignEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	for i := 0; i < 60; i++ {
-		s, vecs, cfg := randomCampaignCase(rng)
-		cfg.Trials = 65 + rng.Intn(140) // straddle word boundaries, vary remainder
+	for i := 0; i < 66; i++ {
+		var s *Simulator
+		var vecs []*Vector
+		var cfg CampaignConfig
+		switch {
+		case i < 60:
+			s, vecs, cfg = randomCampaignCase(rng)
+			cfg.Trials = 65 + rng.Intn(140) // straddle word boundaries, vary remainder
+		case i%2 == 0:
+			s, vecs, cfg = randomCampaignCase(rng)
+			for len(cfg.LeakPairs) == 0 {
+				_, _, cfg = randomCampaignCase(rng)
+			}
+			if cfg.NumFaults < 2 {
+				cfg.NumFaults = 2
+			}
+		default:
+			s, vecs, cfg = multiSinkCampaignCase(t, rng)
+		}
+		if i >= 60 {
+			cfg.Trials = []int{1023, 1025, 2049}[(i-60)/2]
+		}
 		scalarCfg := cfg
 		scalarCfg.Workers = 1
 		want, err := s.Compile(vecs).runCampaignScalar(context.Background(), scalarCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		floods := -1
 		for _, workers := range []int{1, 2, 4} {
 			wordCfg := cfg
 			wordCfg.Workers = workers
 			got := mustCampaign(t, s, vecs, wordCfg)
-			if !reflect.DeepEqual(want, got) {
+			if !sameAnswers(want, got) {
 				t.Fatalf("case %d (trials=%d faults=%d workers=%d): engines diverge:\nscalar: %+v\nwords:  %+v",
 					i, cfg.Trials, cfg.NumFaults, workers, want, got)
 			}
+			if floods >= 0 && got.Floods != floods {
+				t.Fatalf("case %d (trials=%d workers=%d): %d floods, %d with one worker", i, cfg.Trials, workers, got.Floods, floods)
+			}
+			floods = got.Floods
 		}
 	}
 }
 
 // TestDetectsBatchMatchesScalarRandomized pins the word-parallel
 // DetectsBatch against the one-at-a-time reference over random fault sets,
-// including multi-fault sets with leaks.
+// including multi-fault sets with leaks. The last two cases hold more than
+// one block of fault sets, one of them on the multi-sink array.
 func TestDetectsBatchMatchesScalarRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 22; i++ {
 		s, vecs, cfg := randomCampaignCase(rng)
+		n := 70 + rng.Intn(130)
+		if i >= 20 {
+			n = 2*blockLanes + 37
+		}
+		if i == 21 {
+			s, vecs, cfg = multiSinkCampaignCase(t, rng)
+		}
 		cv := s.Compile(vecs)
 		normal := s.arr.NormalValves()
 		fs := newFaultScratch(normal, cfg)
 		var sets [][]Fault
-		for j, n := 0, 70+rng.Intn(130); j < n; j++ {
+		for j := 0; j < n; j++ {
 			sets = append(sets, append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...))
 		}
 		want := cv.detectsBatchScalar(sets)
@@ -139,8 +222,8 @@ func TestDetectsBatchCancelTrim(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	go cancel()
 	out, err = cv.DetectsBatch(ctx, sets, 2)
-	if err != nil && len(out)%64 != 0 && len(out) != len(sets) {
-		t.Fatalf("trimmed length %d is not a whole-word prefix of %d", len(out), len(sets))
+	if err != nil && len(out)%blockLanes != 0 && len(out) != len(sets) {
+		t.Fatalf("trimmed length %d is not a whole-block prefix of %d", len(out), len(sets))
 	}
 	if err == nil && len(out) != len(sets) {
 		t.Fatalf("uncancelled batch returned %d entries, want %d", len(out), len(sets))
@@ -159,7 +242,7 @@ func TestDetectsBatchCancelTrim(t *testing.T) {
 func TestCampaignOnTrialsFinalCall(t *testing.T) {
 	a := grid.MustNewStandard(4, 4)
 	cv := MustNew(a).Compile([]*Vector{lPath(a), columnCut(a, 2)})
-	const trials = 333 // not a multiple of the word or block size
+	const trials = 2049 // three blocks, the last one trial long
 	for _, engine := range []struct {
 		name string
 		run  func(context.Context, CampaignConfig) (CampaignResult, error)
@@ -191,30 +274,38 @@ func TestCampaignOnTrialsFinalCall(t *testing.T) {
 	}
 }
 
-// TestSweepWordMatchesScalarPerLane drives sweepWord directly with fewer
-// than 64 lanes and checks each lane's first-detecting index against the
-// scalar detectingVector, including the masked-out inactive lanes.
-func TestSweepWordMatchesScalarPerLane(t *testing.T) {
+// TestSweepBlockMatchesScalarPerLane drives the block sweep directly and
+// checks each lane's first-detecting index against the scalar
+// detectingVector. Lane counts straddle words (1, 63, 64, 65) and fill a
+// block (1,023, 1,024); two blocks run back to back on one scratch, so a
+// stale overlay from the first would show in the second.
+func TestSweepBlockMatchesScalarPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
+	sizes := []int{1, 63, 64, 65, 1023, blockLanes}
+	for i := 0; i < 24; i++ {
 		s, vecs, cfg := randomCampaignCase(rng)
+		if i%4 == 3 {
+			s, vecs, cfg = multiSinkCampaignCase(t, rng)
+		}
 		cv := s.Compile(vecs)
 		normal := s.arr.NormalValves()
 		fs := newFaultScratch(normal, cfg)
-		n := 1 + rng.Intn(64)
-		lanes := make([][]Fault, n)
-		for k := range lanes {
-			lanes[k] = append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...)
-		}
-		ws := s.getWordScratch()
-		cv.sweepWord(ws, lanes, laneMask(n))
+		bs := s.getBlockScratch()
 		sc := s.getScratch()
-		for k := 0; k < n; k++ {
-			if want := cv.detectingVector(sc, lanes[k]); int32(want) != ws.firstIdx[k] {
-				t.Fatalf("case %d lane %d/%d: sweepWord %d, scalar %d", i, k, n, ws.firstIdx[k], want)
+		for _, n := range []int{sizes[i%len(sizes)], 1 + rng.Intn(blockLanes)} {
+			lanes := make([][]Fault, n)
+			for k := range lanes {
+				lanes[k] = append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...)
+			}
+			s.loadBlock(bs, lanes)
+			cv.sweepBlock(bs)
+			for k := 0; k < n; k++ {
+				if want := cv.detectingVector(sc, lanes[k]); int32(want) != bs.firstIdx[k] {
+					t.Fatalf("case %d lane %d/%d: block sweep %d, scalar %d", i, k, n, bs.firstIdx[k], want)
+				}
 			}
 		}
 		s.putScratch(sc)
-		s.putWordScratch(ws)
+		s.putBlockScratch(bs)
 	}
 }

@@ -57,9 +57,9 @@ func (cv *CompiledVectors) runCampaignScalar(ctx context.Context, cfg CampaignCo
 			st.completed.Add(int64(end - start))
 			st.report()
 		}
-		st.merge(det, sims, local)
+		st.merge(det, sims, 0, local)
 	}
-	return st.run(ctx, campaignWorkerCount(cfg, cfg.Trials), worker)
+	return st.run(ctx, workerCount(cfg.Workers, cfg.Trials), worker)
 }
 
 // detectsBatchScalar is the one-universe-at-a-time reference implementation

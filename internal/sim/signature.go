@@ -16,8 +16,7 @@ package sim
 
 import (
 	"context"
-	"runtime"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -93,9 +92,10 @@ func (m *ResponseMatrix) SameSignature(a, b int) bool {
 }
 
 // Responses evaluates every fault set against every compiled vector and
-// returns the full response matrix. Fault sets are packed 64 to a word and
-// evaluated bit-parallel; words are sharded across workers (<= 0 means
-// runtime.NumCPU()). The result is bit-identical for any worker count.
+// returns the full response matrix. Fault sets are packed into the block
+// sweep's universes (set k in lane k%64 of word k/64 of block k/1024);
+// blocks are sharded across workers (<= 0 means runtime.NumCPU()). The
+// result is bit-identical for any worker count.
 //
 // Cancelling ctx stops the sweep promptly; unlike DetectsBatch no partial
 // matrix is returned — the result is nil together with ctx.Err().
@@ -110,180 +110,78 @@ func (cv *CompiledVectors) Responses(ctx context.Context, faultSets [][]Fault, w
 	if len(faultSets) == 0 {
 		return m, nil
 	}
-	nWords := m.wordsPerRow
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > nWords {
-		workers = nWords
-	}
+	nBlocks := (len(faultSets) + blockLanes - 1) / blockLanes
 	var next atomic.Int64
-	run := func() {
-		ws := cv.s.getWordScratch()
-		defer cv.s.putWordScratch(ws)
+	parallel(workerCount(workers, nBlocks), func() {
+		bs := cv.s.getBlockScratch()
+		defer cv.s.putBlockScratch(bs)
 		for ctx.Err() == nil {
-			w := int(next.Add(1)) - 1
-			if w >= nWords {
+			b := int(next.Add(1)) - 1
+			if b >= nBlocks {
 				return
 			}
-			start := w * 64
-			n := len(faultSets) - start
-			if n > 64 {
-				n = 64
-			}
-			cv.responsesWord(ws, faultSets[start:start+n], laneMask(n), m, w)
+			start := b * blockLanes
+			cv.s.loadBlock(bs, faultSets[start:min(start+blockLanes, len(faultSets))])
+			cv.responsesBlock(bs, m, b*blockWords)
 		}
-	}
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// responsesWord evaluates up to 64 fault universes (lane k active when bit k
-// of active is set) against every vector and writes their readings into
-// column word of the matrix. It shares the sweepWord physics — the same
-// overlay, the same monotonicity shortcuts — but never stops early: every
-// lane needs its reading under every vector, not just its first detection.
+// responsesBlock evaluates the loaded block against every vector and
+// writes its readings into column words word0.. of the matrix. It shares
+// the block sweep's overlay, classification and packed floods but never
+// stops early: every lane needs its reading under every vector, not just
+// its first detection.
 //
 // Per (vector, lane) the reading is resolved by the cheapest sufficient
 // argument:
 //
-//   - unchanged physical state  -> golden readings, no propagation;
-//   - certainly-missed (the sweepWord sandwich rule) -> golden readings;
-//   - certainly-detected with a single sink -> the inverted golden reading
+//   - unchanged physical state, or settled by a mask rule (classify) ->
+//     the golden readings, no propagation;
+//   - certainly detected with a single sink -> the inverted golden reading
 //     (detection says the readings differ, and with one sink "differs"
 //     determines the value);
-//   - everything else -> one masked word flood (removal lanes from the
-//     sources, addition-only lanes incrementally from the cached fault-free
-//     reachability).
+//   - everything else -> a packed flood, 64 lanes of the block at a time.
 //
 //fpva:allocfree
-func (cv *CompiledVectors) responsesWord(ws *wordScratch, faultsPerLane [][]Fault, active uint64, m *ResponseMatrix, word int) {
+func (cv *CompiledVectors) responsesBlock(bs *blockScratch, m *ResponseMatrix, word0 int) {
 	s := cv.s
-	s.loadWord(ws, faultsPerLane)
 	oneSink := len(s.sinkNodes) == 1
-	for i, vec := range cv.vecs {
-		base := cv.baseWords[i]
-		eff := ws.eff
-		detC := cv.detClosure[i]
-		detO := cv.detOpen[i]
-		leaky := len(ws.leaks) > 0
-		if leaky {
-			for _, v := range ws.touched {
-				eff[v] = base[v]
-			}
-			for _, lk := range ws.leaks {
-				if !vec.open[lk.a] || !vec.open[lk.b] {
-					eff[lk.a] &^= lk.mask
-					eff[lk.b] &^= lk.mask
-				}
-			}
-		}
-		var changed, closedAny, closedMulti, addAny, addMulti, sureC, sureA uint64
-		for _, v := range ws.touched {
-			src := base[v]
-			if leaky {
-				src = eff[v]
-			}
-			w := (src &^ ws.sa0[v]) | ws.sa1[v]
-			eff[v] = w
-			clo := base[v] &^ w
-			add := w &^ base[v]
-			changed |= clo | add
-			closedMulti |= closedAny & clo
-			closedAny |= clo
-			addMulti |= addAny & add
-			addAny |= add
-			if clo != 0 && (detC[v>>6]>>(uint(v)&63))&1 != 0 {
-				sureC |= clo
-			}
-			if add != 0 && (detO[v>>6]>>(uint(v)&63))&1 != 0 {
-				sureA |= add
-			}
-		}
-		mCh := changed & active
-		cOnly := closedAny &^ addAny
-		aOnly := addAny &^ closedAny
-		singleC := closedAny &^ closedMulti &^ sureC
-		singleA := addAny &^ addMulti &^ sureA
-		sure := (sureC&cOnly | sureA&aOnly) & mCh
-		undet := (singleC&^addAny | singleA&^closedAny | singleC&singleA) & mCh
-		// Lanes proven to reproduce the golden readings, lanes whose single
-		// sink is proven inverted, and lanes that genuinely propagate.
-		mGold := (active &^ mCh) | undet
-		var mInv uint64
-		mProp := mCh &^ undet
-		if oneSink {
-			mInv = sure
-			mProp &^= sure
-		}
-		if mProp != 0 {
-			mRem := closedAny & mProp
-			mAdd := mProp &^ mRem
-			reach := ws.reach
-			if mAdd != 0 {
-				br := cv.baseReach[i]
-				for n := range reach {
-					reach[n] = br[n] & mAdd
-				}
-			} else {
-				for n := range reach {
-					reach[n] = 0
-				}
-			}
-			ws.starts = ws.starts[:0]
-			if mRem != 0 {
-				for _, sn := range s.srcNodes {
-					reach[sn] |= mRem
-					ws.starts = append(ws.starts, sn)
-				}
-			}
-			if mAdd != 0 {
-				for _, v := range ws.touched {
-					if (eff[v]&^base[v])&mAdd != 0 {
-						ws.starts = append(ws.starts, s.valveEnds[v]...)
-					}
-				}
-			}
-			copy(ws.edgeEff, cv.edgeWords[i])
-			for _, v := range ws.touched {
-				if ws.laneBits[v]&mProp == 0 {
-					continue
-				}
-				w := eff[v]
-				for _, e := range s.valveEdges[v] {
-					ws.edgeEff[e] = w
-				}
-			}
-			s.g.RelaxWordsInto(reach, ws.queue, ws.inq, ws.starts, ws.edgeEff)
-		}
+	live := bs.live[:bs.nWords]
+	for w := range live {
+		live[w] = w
+	}
+	for i := range cv.vecs {
 		golden := cv.golden[i]
-		rowBase := (i * m.nSink) * m.wordsPerRow
-		for j, snk := range s.sinkNodes {
-			var row uint64
-			if golden[j] {
-				row |= mGold
-			} else {
-				row |= mInv
+		rowBase := i * m.nSink * m.wordsPerRow
+		for _, w := range live {
+			bw := &bs.words[w]
+			sure := cv.classify(bs, bw, i, bw.active, !oneSink)
+			var inv uint64
+			if oneSink {
+				inv = sure
 			}
-			if mProp != 0 {
-				row |= ws.reach[snk] & mProp
+			gold := bw.active &^ bw.prop &^ inv
+			for j := range s.sinkNodes {
+				row := inv
+				if golden[j] {
+					row = gold
+				}
+				m.rows[rowBase+j*m.wordsPerRow+word0+w] = row
 			}
-			m.rows[rowBase+j*m.wordsPerRow+word] = row
+		}
+		bs.cursor = 0
+		for cv.floodPack(bs, i, live) {
+			for j, snk := range s.sinkNodes {
+				for t := bs.reach[snk] & laneMask(bs.nPack); t != 0; t &= t - 1 {
+					lane := bs.packLane[bits.TrailingZeros64(t)]
+					m.rows[rowBase+j*m.wordsPerRow+word0+int(lane>>6)] |= 1 << (lane & 63)
+				}
+			}
 		}
 	}
 }

@@ -132,19 +132,18 @@ func (f Fault) String() string {
 // so the inner loop of a campaign allocates nothing; all methods are safe
 // for concurrent use.
 type Simulator struct {
-	arr           *grid.Array
-	g             *graph.Graph
-	srcNodes      []int
-	sinkNodes     []int
-	sinkNames     []string
-	edgeValve     []int   // graph edge index -> valve ID
-	valveEdges    [][]int // valve ID -> graph edge indices (word-engine seeding)
-	valveEnds     [][]int // valve ID -> its edges' endpoint nodes, flattened
-	effBase       []bool
-	normalIDs     []int
-	isNormal      []bool // valve ID -> Kind == Normal (hot-path kind guard)
-	scratches     sync.Pool
-	wordScratches sync.Pool
+	arr        *grid.Array
+	g          *graph.Graph
+	srcNodes   []int
+	sinkNodes  []int
+	sinkNames  []string
+	edgeValve  []int   // graph edge index -> valve ID
+	valveEdges [][]int // valve ID -> graph edge indices (word-engine seeding)
+	valveEnds  [][]int // valve ID -> its edges' endpoint nodes, flattened
+	effBase    []bool
+	normalIDs  []int
+	isNormal   []bool // valve ID -> Kind == Normal (hot-path kind guard)
+	scratches  sync.Pool
 }
 
 // New builds a simulator for the array. The array must Validate.
@@ -210,7 +209,6 @@ func New(a *grid.Array) (*Simulator, error) {
 		s.isNormal[v] = true
 	}
 	s.scratches.New = func() any { return s.newScratch() }
-	s.wordScratches.New = func() any { return s.newWordScratch() }
 	return s, nil
 }
 
