@@ -6,7 +6,7 @@
 // The engine is built on one table: the response matrix of the candidate
 // universe (sim.CompiledVectors.Responses) — for every candidate fault and
 // every plan vector, the expected sink readings, computed bit-parallel with
-// the PPSFP word engine. Everything else is bitset arithmetic over that
+// the PPSFP block engine. Everything else is bitset arithmetic over that
 // table:
 //
 //   - Narrow intersects an observation with the matrix row, shrinking the

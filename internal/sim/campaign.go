@@ -93,8 +93,9 @@ type CompiledVectors struct {
 	golden [][]bool // fault-free sink readings per vector
 	// baseWords is base broadcast to 64 bit lanes (0 or ^0 per valve), the
 	// starting state of every bit-parallel sweep; baseReach is the matching
-	// broadcast of the fault-free node reachability, the starting point of
-	// incremental propagation for lanes whose faults only open extra valves.
+	// broadcast of the fault-free node reachability: the region the mask
+	// rules test faulted valves against, and the starting point of
+	// incremental propagation for lanes that close no valve touching it.
 	baseWords [][]uint64
 	baseReach [][]uint64
 	// edgeWords[i][e] is baseWords[i] read through the edge->valve map: the

@@ -53,13 +53,12 @@ func laneMask(n int) uint64 {
 }
 
 // overlayRec is one faulted valve of one word: the lanes in which it is
-// stuck at 0 / stuck at 1, the lanes in which it is faulted at all (lanes —
-// a valve's effect is confined to them, so the sweep drops it once they
-// have all detected), and its faulty state under the vector being
-// classified (eff, rewritten by classify for every vector).
+// stuck at 0 / stuck at 1, and its faulty state under the vector being
+// classified (eff, rewritten by classify for every vector). A valve named
+// only by control leaks has a record with no stuck-at lanes.
 type overlayRec struct {
-	v                    int32
-	sa0, sa1, lanes, eff uint64
+	v             int32
+	sa0, sa1, eff uint64
 }
 
 // overlayLeak is one ControlLeak fault of the lanes in mask: actuating
@@ -70,16 +69,14 @@ type overlayLeak struct {
 }
 
 // blockWord is one word of a block: its active and still-undetected lanes,
-// its range of the block's records and leaks, how many of its records are
-// still alive (alive[recLo:recLo+nAlive]), and the lanes classify queued
-// for a flood under the current vector (prop), of which rem must flood
-// from the sources.
+// its range of the block's records (recs[recLo:recHi]) and leaks, and the
+// lanes classify queued for a flood under the current vector (prop), of
+// which rem must flood from the sources.
 type blockWord struct {
 	active, pending uint64
-	seen            uint64 // pending when the alive list was last compacted
+	seen            uint64 // pending when the records were last compacted
 	recLo, recHi    int32
 	leakLo, leakHi  int32
-	nAlive          int32
 	prop, rem       uint64
 }
 
@@ -105,7 +102,6 @@ type blockScratch struct {
 	slot   []int32 // per valve: its record in the word being loaded, or -1
 	recs   []overlayRec
 	leaks  []overlayLeak
-	alive  []int32 // per word, the records with a pending lane
 	words  [blockWords]blockWord
 	nWords int
 	live   [blockWords]int // words with pending lanes, ascending
@@ -202,32 +198,26 @@ func (s *Simulator) loadWord(bs *blockScratch, faultsPerLane [][]Fault) {
 				if s.isNormal[f.A] {
 					r := bs.rec(f.A)
 					bs.recs[r].sa0 |= bit
-					bs.recs[r].lanes |= bit
 				}
 			case StuckAt1:
 				if s.isNormal[f.A] {
 					r := bs.rec(f.A)
 					bs.recs[r].sa1 |= bit
-					bs.recs[r].lanes |= bit
 				}
 			case ControlLeak:
 				// Channel and PortOpen edges have no control channel to
 				// couple; the scalar branch skips them identically.
 				if s.isNormal[f.A] && s.isNormal[f.B] {
 					a, b := bs.rec(f.A), bs.rec(f.B)
-					bs.recs[a].lanes |= bit
-					bs.recs[b].lanes |= bit
 					bs.leaks = append(bs.leaks, overlayLeak{a, b, bit})
 				}
 			}
 		}
 	}
 	bw.recHi, bw.leakHi = int32(len(bs.recs)), int32(len(bs.leaks))
-	for r := bw.recLo; r < bw.recHi; r++ {
-		bs.slot[bs.recs[r].v] = -1
-		bs.alive = append(bs.alive[:r], r)
+	for _, rec := range bs.recs[bw.recLo:bw.recHi] {
+		bs.slot[rec.v] = -1
 	}
-	bw.nAlive = bw.recHi - bw.recLo
 	bw.active = laneMask(len(faultsPerLane))
 	bw.pending, bw.seen = bw.active, bw.active
 }
@@ -256,25 +246,23 @@ func (cv *CompiledVectors) classify(bs *blockScratch, bw *blockWord, i int, lane
 	vec := cv.vecs[i]
 	base := cv.baseWords[i]
 	detC, detO := cv.detClosure[i], cv.detOpen[i]
-	recs := bs.recs
-	alive := bs.alive[bw.recLo : bw.recLo+bw.nAlive]
+	recs := bs.recs[bw.recLo:bw.recHi]
 	// Without leak couplings the overlay is computed straight from the
-	// cached base words; leak faults first restore and adjust eff per
-	// alive record — a dead record is never read for a pending lane.
+	// cached base words; leak faults first restore and adjust eff.
 	leaky := bw.leakHi > bw.leakLo
 	if leaky {
-		for _, r := range alive {
+		for r := range recs {
 			recs[r].eff = base[recs[r].v]
 		}
 		for _, lk := range bs.leaks[bw.leakLo:bw.leakHi] {
-			if lk.mask&lanes != 0 && (!vec.open[recs[lk.a].v] || !vec.open[recs[lk.b].v]) {
-				recs[lk.a].eff &^= lk.mask
-				recs[lk.b].eff &^= lk.mask
+			if lk.mask&lanes != 0 && (!vec.open[bs.recs[lk.a].v] || !vec.open[bs.recs[lk.b].v]) {
+				bs.recs[lk.a].eff &^= lk.mask
+				bs.recs[lk.b].eff &^= lk.mask
 			}
 		}
 	}
 	var changed, closedAny, closedMulti, addAny, addMulti, sureC, sureA uint64
-	for _, r := range alive {
+	for r := range recs {
 		rec := &recs[r]
 		b := base[rec.v]
 		src := b
@@ -352,13 +340,8 @@ func (cv *CompiledVectors) widerRules(bs *blockScratch, bw *blockWord, i int, op
 	s := cv.s
 	base := cv.baseWords[i]
 	br := cv.baseReach[i]
-	recs := bs.recs
 	var cloR, cloRMulti, addNB, addNBMulti, addOne uint64
-	for _, r := range bs.alive[bw.recLo : bw.recLo+bw.nAlive] {
-		rec := &recs[r]
-		if rec.lanes&open == 0 {
-			continue
-		}
+	for _, rec := range bs.recs[bw.recLo:bw.recHi] {
 		b := base[rec.v]
 		clo := b &^ rec.eff & open
 		add := rec.eff &^ b & open
@@ -449,8 +432,7 @@ func (cv *CompiledVectors) floodPack(bs *blockScratch, i int, live []int) bool {
 	for _, seg := range bs.segs[:bs.nSegs] {
 		bw := &bs.words[seg.w]
 		segAdd := seg.lanes &^ bw.rem
-		for _, r := range bs.alive[bw.recLo : bw.recLo+bw.nAlive] {
-			rec := &bs.recs[r]
+		for _, rec := range bs.recs[bw.recLo:bw.recHi] {
 			b := base[rec.v]
 			flips := (rec.eff ^ b) & seg.lanes
 			if flips == 0 {
@@ -556,24 +538,26 @@ func (cv *CompiledVectors) sweepBlock(bs *blockScratch) int {
 		}
 		// Drop the words that finished and, in the others, the records
 		// whose lanes have all detected, so the per-vector overlay work
-		// shrinks as lanes resolve.
+		// shrinks as lanes resolve. Leaks name their records by index, so
+		// a word with leaks keeps all of its records; a finished lane's
+		// bits are masked out wherever a record is read.
 		n := 0
 		for _, w := range live {
 			bw := &bs.words[w]
 			if bw.pending == 0 {
 				continue
 			}
-			if bw.pending != bw.seen {
+			if bw.pending != bw.seen && bw.leakHi == bw.leakLo {
 				bw.seen = bw.pending
-				alive := bs.alive[bw.recLo : bw.recLo+bw.nAlive]
+				recs := bs.recs[bw.recLo:bw.recHi]
 				k := 0
-				for _, r := range alive {
-					if bs.recs[r].lanes&bw.pending != 0 {
-						alive[k] = r
+				for _, rec := range recs {
+					if (rec.sa0|rec.sa1)&bw.pending != 0 {
+						recs[k] = rec
 						k++
 					}
 				}
-				bw.nAlive = int32(k)
+				bw.recHi = bw.recLo + int32(k)
 			}
 			live[n] = w
 			n++

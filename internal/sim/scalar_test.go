@@ -1,6 +1,6 @@
 package sim
 
-// The one-universe-at-a-time reference implementations of the word
+// The one-universe-at-a-time reference implementations of the block
 // engine's entry points: RunCampaign, DetectsBatch and Responses, plus
 // Detects and DetectingVector, which recompute the golden readings on
 // every call instead of compiling the vectors. They share the production
@@ -14,7 +14,7 @@ import (
 )
 
 // runCampaignScalar evaluates one trial at a time, the differential
-// reference for RunCampaign's bit-parallel engine.
+// reference for RunCampaign's block engine.
 func (cv *CompiledVectors) runCampaignScalar(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
 	st := newCampaignState(cfg)
 	normal := cv.s.arr.NormalValves()
@@ -63,7 +63,7 @@ func (cv *CompiledVectors) runCampaignScalar(ctx context.Context, cfg CampaignCo
 }
 
 // detectsBatchScalar is the one-universe-at-a-time reference implementation
-// of DetectsBatch, kept for differential tests against the word engine.
+// of DetectsBatch, kept for differential tests against the block engine.
 func (cv *CompiledVectors) detectsBatchScalar(faultSets [][]Fault) []bool {
 	sc := cv.s.getScratch()
 	defer cv.s.putScratch(sc)
@@ -75,7 +75,7 @@ func (cv *CompiledVectors) detectsBatchScalar(faultSets [][]Fault) []bool {
 }
 
 // responsesScalar is the one-universe-at-a-time reference implementation of
-// Responses, kept for differential tests against the word engine.
+// Responses, kept for differential tests against the block engine.
 func (cv *CompiledVectors) responsesScalar(faultSets [][]Fault) *ResponseMatrix {
 	m := newResponseMatrix(cv, len(faultSets))
 	sc := cv.s.getScratch()

@@ -9,7 +9,7 @@
 // The matrix is laid out row-major by reading index and column-packed by
 // fault set: row (vector i, sink j) is a bitset over fault sets. That is the
 // transpose of the "signature per candidate" view, and it is deliberate —
-// it is both what the word engine produces without any bit transpose and
+// it is both what the block engine produces without any bit transpose and
 // what diagnosis narrowing consumes (one AND/ANDNOT per word intersects an
 // observation with the whole candidate universe).
 package sim

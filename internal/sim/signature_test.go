@@ -9,7 +9,7 @@ import (
 	"repro/internal/grid"
 )
 
-// TestResponsesMatchesReadings pins the response matrix — word engine and
+// TestResponsesMatchesReadings pins the response matrix — block engine and
 // scalar reference — against the ground truth of Simulator.Readings for every (set, vector,
 // sink) cell, over randomized arrays and fault mixes including leaks,
 // multi-fault sets, and the empty (fault-free) set.
@@ -47,7 +47,7 @@ func TestResponsesMatchesReadings(t *testing.T) {
 	}
 }
 
-// TestResponsesEngineDifferential pins the word engine bit-identical to the
+// TestResponsesEngineDifferential pins the block engine bit-identical to the
 // scalar reference — the full rows slice, not just individual readings — for
 // several worker counts, so diagnosis built on top inherits the determinism
 // contract.
@@ -69,7 +69,7 @@ func TestResponsesEngineDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("case %d workers=%d: word engine diverges from scalar reference", i, workers)
+				t.Fatalf("case %d workers=%d: block engine diverges from scalar reference", i, workers)
 			}
 		}
 	}
