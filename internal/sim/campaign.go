@@ -112,9 +112,6 @@ type CompiledVectors struct {
 	// argument. A single-stuck-at universe always resolves by lookup.
 	detClosure [][]uint64
 	detOpen    [][]uint64
-	// allDark[i] / allLit[i]: every sink of vector i reads dark / lit
-	// fault-free, so closures alone / openings alone cannot change it.
-	allDark, allLit []bool
 }
 
 // Compile precomputes the fault-free effective states and sink readings of
@@ -131,8 +128,6 @@ func (s *Simulator) Compile(vectors []*Vector) *CompiledVectors {
 		edgeWords:  make([][]uint64, len(vectors)),
 		detClosure: make([][]uint64, len(vectors)),
 		detOpen:    make([][]uint64, len(vectors)),
-		allDark:    make([]bool, len(vectors)),
-		allLit:     make([]bool, len(vectors)),
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
@@ -142,11 +137,6 @@ func (s *Simulator) Compile(vectors []*Vector) *CompiledVectors {
 		copy(sc.eff, base)
 		cv.base[i] = base
 		cv.golden[i] = s.readingsInto(sc, make([]bool, len(s.sinkNodes)))
-		cv.allDark[i], cv.allLit[i] = true, true
-		for _, lit := range cv.golden[i] {
-			cv.allDark[i] = cv.allDark[i] && !lit
-			cv.allLit[i] = cv.allLit[i] && lit
-		}
 		words := make([]uint64, len(base))
 		for id, open := range base {
 			if open {

@@ -366,10 +366,15 @@ func (cv *CompiledVectors) widerRules(bs *blockScratch, bw *blockWord, i int, op
 	// one.
 	cNothing := ^cloR | cloR&^cloRMulti&^sureC
 	aNothing := ^addOne | addNB&^addNBMulti&^sureA
-	if cv.allDark[i] {
+	allDark, allLit := true, true
+	for _, lit := range cv.golden[i] {
+		allDark = allDark && !lit
+		allLit = allLit && lit
+	}
+	if allDark {
 		cNothing = ^uint64(0)
 	}
-	if cv.allLit[i] {
+	if allLit {
 		aNothing = ^uint64(0)
 	}
 	bw.prop = open &^ (cNothing & aNothing)
