@@ -170,8 +170,9 @@ func WithMaxEscapes(n int) CampaignOption { return func(c *campaignConfig) { c.m
 func WithLeakFaults() CampaignOption { return func(c *campaignConfig) { c.leaks = true } }
 
 // WithCampaignProgress registers a callback receiving CampaignTick events
-// with strictly increasing completed-trial counts; a completed campaign
-// always ends with a tick at (TrialsTotal, TrialsTotal).
+// with strictly increasing completed-trial counts, one per completed
+// 1,024-trial block; a completed campaign always ends with a tick at
+// (TrialsTotal, TrialsTotal).
 func WithCampaignProgress(p Progress) CampaignOption {
 	return func(c *campaignConfig) { c.progress = p }
 }
