@@ -278,12 +278,10 @@ func (cv *CompiledVectors) classify(bs *blockScratch, bw *blockWord, i int, lane
 		closedAny |= clo
 		addMulti |= addAny & add
 		addAny |= add
-		if clo != 0 && (detC[rec.v>>6]>>(uint(rec.v)&63))&1 != 0 {
-			sureC |= clo
-		}
-		if add != 0 && (detO[rec.v>>6]>>(uint(rec.v)&63))&1 != 0 {
-			sureA |= add
-		}
+		// -bit is all ones for a marked valve: no data-dependent branch.
+		v := uint(rec.v)
+		sureC |= clo & -(detC[v>>6] >> (v & 63) & 1)
+		sureA |= add & -(detO[v>>6] >> (v & 63) & 1)
 	}
 	bw.prop, bw.rem = 0, 0
 	// Lanes whose physical state equals the fault-free one reproduce the
@@ -553,16 +551,20 @@ func (cv *CompiledVectors) sweepBlock(bs *blockScratch) int {
 				continue
 			}
 			if bw.pending != bw.seen && bw.leakHi == bw.leakLo {
+				// Swap each dead record with the last one: the order of a
+				// word's records does not matter, and only dead records
+				// move.
 				bw.seen = bw.pending
 				recs := bs.recs[bw.recLo:bw.recHi]
-				k := 0
-				for _, rec := range recs {
-					if (rec.sa0|rec.sa1)&bw.pending != 0 {
-						recs[k] = rec
+				for k := 0; k < len(recs); {
+					if (recs[k].sa0|recs[k].sa1)&bw.pending != 0 {
 						k++
+						continue
 					}
+					recs[k] = recs[len(recs)-1]
+					recs = recs[:len(recs)-1]
 				}
-				bw.recHi = bw.recLo + int32(k)
+				bw.recHi = bw.recLo + int32(len(recs))
 			}
 			live[n] = w
 			n++
