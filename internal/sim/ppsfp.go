@@ -53,12 +53,11 @@ func laneMask(n int) uint64 {
 }
 
 // overlayRec is one faulted valve of one word: the lanes in which it is
-// stuck at 0 / stuck at 1, and its faulty state under the vector being
-// classified (eff, rewritten by classify for every vector). A valve named
-// only by control leaks has a record with no stuck-at lanes.
+// stuck at 0 / stuck at 1. A valve named only by control leaks has a
+// record with no stuck-at lanes.
 type overlayRec struct {
-	v             int32
-	sa0, sa1, eff uint64
+	v        int32
+	sa0, sa1 uint64
 }
 
 // overlayLeak is one ControlLeak fault of the lanes in mask: actuating
@@ -99,12 +98,15 @@ type blockScratch struct {
 	inq     []bool
 	starts  []int // propagation start nodes for the reachability fixpoint
 
-	slot   []int32 // per valve: its record in the word being loaded, or -1
-	recs   []overlayRec
-	leaks  []overlayLeak
-	words  [blockWords]blockWord
-	nWords int
-	live   [blockWords]int // words with pending lanes, ascending
+	slot  []int32 // per valve: its record in the word being loaded, or -1
+	recs  []overlayRec
+	leaks []overlayLeak
+	// leakEff holds, per record of a word with leaks, the record's faulty
+	// state under the vector being classified (see eff).
+	leakEff []uint64
+	words   [blockWords]blockWord
+	nWords  int
+	live    [blockWords]int // words with pending lanes, ascending
 
 	// The current packed flood: its segments and, per flood bit, the
 	// block lane it carries (word*64 + lane).
@@ -218,8 +220,23 @@ func (s *Simulator) loadWord(bs *blockScratch, faultsPerLane [][]Fault) {
 	for _, rec := range bs.recs[bw.recLo:bw.recHi] {
 		bs.slot[rec.v] = -1
 	}
+	for bw.leakHi > bw.leakLo && len(bs.leakEff) < len(bs.recs) {
+		bs.leakEff = append(bs.leakEff, 0)
+	}
 	bw.active = laneMask(len(faultsPerLane))
 	bw.pending, bw.seen = bw.active, bw.active
+}
+
+// eff returns record r's faulty state under the vector being classified,
+// whose fault-free state is b: straight from the stuck-at masks, or, in a
+// word with leaks, as classify left it in leakEff.
+//
+//fpva:allocfree
+func (bs *blockScratch) eff(bw *blockWord, r int32, b uint64) uint64 {
+	if bw.leakHi > bw.leakLo {
+		return bs.leakEff[r]
+	}
+	return (b &^ bs.recs[r].sa0) | bs.recs[r].sa1
 }
 
 // classify overlays word bw's faults on vector i for the lanes in `lanes`
@@ -248,16 +265,18 @@ func (cv *CompiledVectors) classify(bs *blockScratch, bw *blockWord, i int, lane
 	detC, detO := cv.detClosure[i], cv.detOpen[i]
 	recs := bs.recs[bw.recLo:bw.recHi]
 	// Without leak couplings the overlay is computed straight from the
-	// cached base words; leak faults first restore and adjust eff.
+	// cached base words; leak faults first restore and adjust leakEff.
 	leaky := bw.leakHi > bw.leakLo
+	var leakEff []uint64
 	if leaky {
+		leakEff = bs.leakEff[bw.recLo:bw.recHi]
 		for r := range recs {
-			recs[r].eff = base[recs[r].v]
+			leakEff[r] = base[recs[r].v]
 		}
 		for _, lk := range bs.leaks[bw.leakLo:bw.leakHi] {
 			if lk.mask&lanes != 0 && (!vec.open[bs.recs[lk.a].v] || !vec.open[bs.recs[lk.b].v]) {
-				bs.recs[lk.a].eff &^= lk.mask
-				bs.recs[lk.b].eff &^= lk.mask
+				bs.leakEff[lk.a] &^= lk.mask
+				bs.leakEff[lk.b] &^= lk.mask
 			}
 		}
 	}
@@ -267,10 +286,12 @@ func (cv *CompiledVectors) classify(bs *blockScratch, bw *blockWord, i int, lane
 		b := base[rec.v]
 		src := b
 		if leaky {
-			src = rec.eff
+			src = leakEff[r]
 		}
 		w := (src &^ rec.sa0) | rec.sa1
-		rec.eff = w
+		if leaky {
+			leakEff[r] = w
+		}
 		clo := b &^ w
 		add := w &^ b
 		changed |= clo | add
@@ -339,10 +360,12 @@ func (cv *CompiledVectors) widerRules(bs *blockScratch, bw *blockWord, i int, op
 	base := cv.baseWords[i]
 	br := cv.baseReach[i]
 	var cloR, cloRMulti, addNB, addNBMulti, addOne uint64
-	for _, rec := range bs.recs[bw.recLo:bw.recHi] {
+	for r := bw.recLo; r < bw.recHi; r++ {
+		rec := &bs.recs[r]
 		b := base[rec.v]
-		clo := b &^ rec.eff & open
-		add := rec.eff &^ b & open
+		eff := bs.eff(bw, r, b)
+		clo := b &^ eff & open
+		add := eff &^ b & open
 		if clo|add == 0 {
 			continue
 		}
@@ -435,9 +458,11 @@ func (cv *CompiledVectors) floodPack(bs *blockScratch, i int, live []int) bool {
 	for _, seg := range bs.segs[:bs.nSegs] {
 		bw := &bs.words[seg.w]
 		segAdd := seg.lanes &^ bw.rem
-		for _, rec := range bs.recs[bw.recLo:bw.recHi] {
+		for r := bw.recLo; r < bw.recHi; r++ {
+			rec := &bs.recs[r]
 			b := base[rec.v]
-			flips := (rec.eff ^ b) & seg.lanes
+			eff := bs.eff(bw, r, b)
+			flips := (eff ^ b) & seg.lanes
 			if flips == 0 {
 				continue
 			}
@@ -448,7 +473,7 @@ func (cv *CompiledVectors) floodPack(bs *blockScratch, i int, live []int) bool {
 			for _, e := range s.valveEdges[rec.v] {
 				bs.edgeEff[e] ^= p
 			}
-			if rec.eff&^b&segAdd != 0 {
+			if eff&^b&segAdd != 0 {
 				bs.starts = append(bs.starts, s.valveEnds[rec.v]...)
 			}
 		}
