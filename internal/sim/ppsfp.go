@@ -23,8 +23,8 @@
 // response references live in this package's test files as the
 // differential oracle. Universe t of a sweep is lane t%64 of word t/64 of
 // block t/1024; block boundaries are fixed, so which lanes share a flood
-// never depends on scheduling. The final partial word is the remainder
-// block; its unused lanes are masked out.
+// never depends on scheduling. The final block is the remainder block;
+// the unused lanes of its last word are masked out.
 package sim
 
 import (
