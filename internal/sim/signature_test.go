@@ -50,16 +50,25 @@ func TestResponsesMatchesReadings(t *testing.T) {
 // TestResponsesEngineDifferential pins the block engine bit-identical to the
 // scalar reference — the full rows slice, not just individual readings — for
 // several worker counts, so diagnosis built on top inherits the determinism
-// contract.
+// contract. The last two cases run on the multi-sink array, where detected
+// lanes are flooded for their readings, the second with more than one
+// block of fault sets.
 func TestResponsesEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 22; i++ {
 		s, vecs, cfg := randomCampaignCase(rng)
+		n := 65 + rng.Intn(140)
+		if i >= 20 {
+			s, vecs, cfg = multiSinkCampaignCase(t, rng)
+		}
+		if i == 21 {
+			n = blockLanes + 65
+		}
 		cv := s.Compile(vecs)
 		normal := s.arr.NormalValves()
 		fs := newFaultScratch(normal, cfg)
 		var sets [][]Fault
-		for j, n := 0, 65+rng.Intn(140); j < n; j++ {
+		for j := 0; j < n; j++ {
 			sets = append(sets, append([]Fault(nil), randomFaultsInto(rng, normal, cfg, fs)...))
 		}
 		want := cv.responsesScalar(sets)
