@@ -9,13 +9,14 @@ import (
 	"repro/internal/lp"
 )
 
-// TestWorkersBitIdentical is the determinism contract: for any worker
-// count, a completed solve returns exactly the same solution, down to the
-// last bit of every coordinate.
-func TestWorkersBitIdentical(t *testing.T) {
+// randomModels builds the random 0-1 models of the worker-count contract:
+// 25 models of 6-11 binaries with objective coefficients in [-5, 5] and
+// 3-6 rows of mixed sense, drawn from seed 17.
+func randomModels() []*Model {
 	rng := rand.New(rand.NewSource(17))
+	var models []*Model
 	for trial := 0; trial < 25; trial++ {
-		var m Model
+		m := new(Model)
 		n := 6 + rng.Intn(6)
 		vars := make([]VarID, n)
 		for j := 0; j < n; j++ {
@@ -36,6 +37,30 @@ func TestWorkersBitIdentical(t *testing.T) {
 			}
 			m.AddCons(idx, coef, lp.Sense(rng.Intn(3)), float64(rng.Intn(9)-3))
 		}
+		models = append(models, m)
+	}
+	return models
+}
+
+// knapsackModel is a knapsack of 12 identical items: a model with many
+// equal-objective leaves, where incumbent ordering is most fragile.
+func knapsackModel() *Model {
+	m := new(Model)
+	vars := make([]VarID, 12)
+	coef := make([]float64, 12)
+	for i := range vars {
+		vars[i] = m.AddBinary(-3, "x")
+		coef[i] = 2
+	}
+	m.AddCons(vars, coef, lp.LE, 11)
+	return m
+}
+
+// TestWorkersBitIdentical is the determinism contract: for any worker
+// count, a completed solve returns exactly the same solution, down to the
+// last bit of every coordinate.
+func TestWorkersBitIdentical(t *testing.T) {
+	for trial, m := range randomModels() {
 		base := m.Solve(context.Background(), Options{})
 		for _, workers := range []int{2, 4, 7} {
 			got := m.Solve(context.Background(), Options{Workers: workers})
@@ -57,14 +82,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 // TestParallelMatchesSerialOnKnapsack exercises the pool on a model with
 // many ties (identical items), where incumbent ordering is most fragile.
 func TestParallelMatchesSerialOnKnapsack(t *testing.T) {
-	var m Model
-	vars := make([]VarID, 12)
-	coef := make([]float64, 12)
-	for i := range vars {
-		vars[i] = m.AddBinary(-3, "x") // all items identical: maximal ties
-		coef[i] = 2
-	}
-	m.AddCons(vars, coef, lp.LE, 11)
+	m := knapsackModel()
 	base := m.Solve(context.Background(), Options{})
 	if base.Status != Optimal || !approx(base.Obj, -15) {
 		t.Fatalf("serial: %v obj %v, want -15", base.Status, base.Obj)
