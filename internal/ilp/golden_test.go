@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
+	"slices"
 	"testing"
+
+	"repro/internal/lp"
 )
 
 // goldenSolve is one pinned answer in testdata/golden.json. Nodes is the
@@ -17,10 +21,40 @@ type goldenSolve struct {
 	Nodes  int       `json:"nodes"`
 }
 
+// coverModels builds random unit-cost set-cover models: 24 binaries and 18
+// rows, each asking for one of 3 or 4 of them, drawn from seed 19. Like the
+// path and cut models they have many optimal leaves, which only the
+// tie-break tells apart.
+func coverModels() []*Model {
+	rng := rand.New(rand.NewSource(19))
+	var models []*Model
+	for trial := 0; trial < 10; trial++ {
+		m := new(Model)
+		vars := make([]VarID, 24)
+		for j := range vars {
+			vars[j] = m.AddBinary(1, "x")
+		}
+		for i := 0; i < 18; i++ {
+			members := rng.Perm(len(vars))[:3+rng.Intn(2)]
+			slices.Sort(members)
+			idx := make([]VarID, len(members))
+			coef := make([]float64, len(members))
+			for k, j := range members {
+				idx[k], coef[k] = vars[j], 1
+			}
+			m.AddCons(idx, coef, lp.GE, 1)
+		}
+		models = append(models, m)
+	}
+	return models
+}
+
 // goldenModels are the models testdata/golden.json pins, in file order:
-// the random models of TestWorkersBitIdentical, then the knapsack.
+// the random models of TestWorkersBitIdentical, the knapsack, then the
+// set-cover models.
 func goldenModels() []*Model {
-	return append(randomModels(), knapsackModel())
+	models := append(randomModels(), knapsackModel())
+	return append(models, coverModels()...)
 }
 
 // TestILPGolden pins Status, Obj and X of the worker-count models to the
