@@ -107,13 +107,17 @@ smoke-daemon:
 # store's crash/corruption/EIO tests (including the kill -9 child-
 # process rounds), the service-level store and admission tests,
 # repeated bursts of campaign, verify and diagnose jobs racing to build
-# and extend one shared compiled entry, and the block sweep's workers
-# claiming blocks against the scalar oracle at 1, 2 and 4 processors.
+# and extend one shared compiled entry, the block sweep's workers
+# claiming blocks against the scalar oracle at 1, 2 and 4 processors,
+# and the branch-and-bound's worker-count contract at 1, 2 and 4
+# processors, where incumbents arrive in a different order every run.
 chaos:
 	$(GO) test -race -count 2 ./internal/store
 	$(GO) test -race -run 'TestCacheDir|TestStoreDegraded|TestMaxPending|TestJobTimeout' ./fpva
 	$(GO) test -race -count 10 -run 'TestSharedCompileBurst' ./fpva
 	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestCampaignEngineDifferential|TestDetectsBatchMatchesScalarRandomized|TestCampaignOnTrialsFinalCall' ./internal/sim
+	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestWorkersBitIdentical|TestParallelMatchesSerialOnKnapsack|TestILPGolden' ./internal/ilp
+	$(GO) test -race -count 10 -cpu 1,2,4 -timeout 30m -run 'TestSolverWorkersBitIdenticalEndToEnd|TestILPGolden' ./internal/core
 	$(GO) test -race -run 'TestAuth|TestRateLimit|TestQueueFull|TestHealthz|TestConfig|TestValidate' ./cmd/fpvad
 
 clean:

@@ -257,8 +257,13 @@ func VerifyDoubleFaults(ctx context.Context, cv *sim.CompiledVectors, maxPairs i
 	singles := sim.AllSingleFaults(cv.Simulator().Array())
 	// Stream the O(nv^2) pair space through fixed-size windows: each window
 	// is evaluated in parallel, but only one window of pairs is ever held in
-	// memory, and escape order stays the sequential scan order.
-	const window = 4096
+	// memory, and escape order stays the sequential scan order. Each fault
+	// set is a slice of its pairs element, which stays put until the flush
+	// because the window never outgrows its capacity.
+	window := 4096
+	if maxPairs > 0 {
+		window = min(window, maxPairs)
+	}
 	pairs := make([][2]sim.Fault, 0, window)
 	sets := make([][]sim.Fault, 0, window)
 	var escaped [][2]sim.Fault
@@ -291,7 +296,7 @@ func VerifyDoubleFaults(ctx context.Context, cv *sim.CompiledVectors, maxPairs i
 			}
 			checked++
 			pairs = append(pairs, [2]sim.Fault{f1, f2})
-			sets = append(sets, []sim.Fault{f1, f2})
+			sets = append(sets, pairs[len(pairs)-1][:])
 			if len(sets) == window {
 				if err := flush(); err != nil {
 					return nil, err

@@ -175,3 +175,24 @@ func TestVerifyDoubleFaultsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerifyDoubleFaultsAllocations pins the pair sweep's allocations to a
+// fixed overhead per call (the single-fault list, the pair window, the
+// batch's results and workers), with nothing per pair.
+func TestVerifyDoubleFaultsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
+	}
+	cv := compile(t, gen(t, grid.MustNewStandard(5, 5), Config{}))
+	allocs := func(maxPairs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := VerifyDoubleFaults(context.Background(), cv, maxPairs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	if large > small+8 || large > 64 {
+		t.Fatalf("VerifyDoubleFaults allocates %v objects for 200 pairs, %v for 2,000", small, large)
+	}
+}

@@ -112,20 +112,28 @@ func TestILPGolden(t *testing.T) {
 		if w.Name != names[i] {
 			t.Fatalf("golden plan %d is %q, want %q", i, w.Name, names[i])
 		}
-		for _, workers := range []int{1, 2, 4} {
-			got := generateILP(t, names[i], a, workers)
-			if !equalValveLists(got.Paths, w.Paths) {
-				t.Fatalf("%s workers=%d: paths %v, want %v", w.Name, workers, got.Paths, w.Paths)
+		t.Run(w.Name, func(t *testing.T) {
+			if raceEnabled && w.Name == "std 4x5" {
+				// One warm-started root LP of its cut model runs to the
+				// 37,800-iteration cap before the cold retry solves it:
+				// 0.8 s per generation, 16 s under -race.
+				t.Skip("too slow under -race; plain runs cover it")
 			}
-			if !equalValveLists(got.Cuts, w.Cuts) {
-				t.Fatalf("%s workers=%d: cuts %v, want %v", w.Name, workers, got.Cuts, w.Cuts)
+			for _, workers := range []int{1, 2, 4} {
+				got := generateILP(t, w.Name, a, workers)
+				if !equalValveLists(got.Paths, w.Paths) {
+					t.Fatalf("workers=%d: paths %v, want %v", workers, got.Paths, w.Paths)
+				}
+				if !equalValveLists(got.Cuts, w.Cuts) {
+					t.Fatalf("workers=%d: cuts %v, want %v", workers, got.Cuts, w.Cuts)
+				}
+				if got.Solves != w.Solves {
+					t.Errorf("workers=%d: %d ILP solves, recorded %d", workers, got.Solves, w.Solves)
+				}
+				if workers == 1 && got.Nodes > w.Nodes {
+					t.Errorf("%d serial nodes, recorded %d", got.Nodes, w.Nodes)
+				}
 			}
-			if got.Solves != w.Solves {
-				t.Errorf("%s workers=%d: %d ILP solves, recorded %d", w.Name, workers, got.Solves, w.Solves)
-			}
-			if workers == 1 && got.Nodes > w.Nodes {
-				t.Errorf("%s: %d serial nodes, recorded %d", w.Name, got.Nodes, w.Nodes)
-			}
-		}
+		})
 	}
 }

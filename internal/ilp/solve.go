@@ -122,7 +122,8 @@ func (q *nodePQ) Pop() any {
 
 // candidate carries an incumbent from process to commit. x and path alias
 // per-worker scratch; commit copies them only when they win the incumbent
-// race, so losing candidates cost nothing.
+// race, so losing candidates cost nothing. process also receives the
+// incumbent leaf as a candidate without x.
 type candidate struct {
 	x    []float64
 	obj  float64
@@ -171,11 +172,12 @@ type searcher struct {
 	lpLimited bool
 	unbounded bool
 	canceled  bool
-	// leaf incumbents decide the returned solution: every leaf with an
-	// objective within tolerance of the optimum lives in a node whose bound
-	// is at most optimum+tol, and such nodes are explored under every
-	// schedule (pruning is strict), so the (obj, path)-minimal leaf is the
-	// same for any worker count.
+	// leaf incumbents decide the returned solution: the (obj, path)-minimal
+	// leaf W is the same for any worker count because every ancestor of W
+	// is explored under every schedule. No ancestor's bound exceeds W's
+	// objective, so strict pruning spares it, and no incumbent leaf sorts
+	// before W, so losesTieBreak spares it. leafPath is replaced, never
+	// mutated, when a leaf wins, so workers may read it outside s.mu.
 	leafX    []float64
 	leafObj  float64
 	leafPath []byte
@@ -225,12 +227,17 @@ func (s *searcher) releaseBasis(b *basisRef) {
 	}
 }
 
-// Solve runs branch-and-bound and returns the best integer solution. The
-// exploration order is best-bound with plunging: after branching, a worker
-// keeps the preferred child for itself (maximizing warm-start locality and
-// halving heap traffic) and publishes the sibling to the shared best-bound
-// heap, where idle workers steal it. Nodes re-solve from their parent's
-// simplex basis via the dual simplex instead of a cold start.
+// Solve runs branch-and-bound and returns the best integer solution: of
+// the leaves with the smallest objective, the one with the smallest tree
+// position. The exploration order is best-bound with plunging: after
+// branching, a worker keeps the preferred child for itself (maximizing
+// warm-start locality and halving heap traffic) and publishes the sibling
+// to the shared best-bound heap, where idle workers steal it. Nodes
+// re-solve from their parent's simplex basis via the dual simplex instead
+// of a cold start. A node is pruned when its bound strictly exceeds an
+// incumbent's objective or, for integral objectives, when it can only tie
+// the incumbent leaf and lose the tie-break (losesTieBreak); neither rule
+// can prune an ancestor of the returned leaf, whatever the schedule.
 //
 // Cancelling ctx (nil means context.Background()) stops the search at the
 // next node boundary on every worker and returns Status Canceled; callers
@@ -366,9 +373,10 @@ func (s *searcher) work(sv *lp.Solver) {
 			}
 		}
 		gub := math.Min(s.leafObj, s.heurObj)
+		leaf := candidate{obj: s.leafObj, path: s.leafPath}
 		s.mu.Unlock()
 
-		res := s.process(sc, nd, gub)
+		res := s.process(sc, nd, gub, leaf)
 
 		s.mu.Lock()
 		s.commit(res)
@@ -377,8 +385,8 @@ func (s *searcher) work(sv *lp.Solver) {
 			// only while it is at least as good as the best node in the
 			// shared heap (so exploration stays essentially best-bound and
 			// node counts match the pure-heap schedule) and the sharpened
-			// incumbent does not already prune it. process re-checks bounds
-			// strictly, so this is a scheduling heuristic, not a
+			// incumbent does not already prune it. process re-checks the
+			// pruning rules, so this is a scheduling heuristic, not a
 			// correctness gate.
 			gub = math.Min(s.leafObj, s.heurObj)
 			asGood := len(s.pq) == 0 || first.bound <= s.pq[0].bound
@@ -398,11 +406,26 @@ func (s *searcher) work(sv *lp.Solver) {
 	}
 }
 
-// process solves one node. Everything here is a pure function of the node
-// (gub only prunes strictly-worse subtrees, which never contribute to the
-// returned solution), so results are schedule-independent.
-func (s *searcher) process(sc *workScratch, nd *bbNode, gub float64) nodeResult {
-	if nd.bound > gub+objTol || nd.bound > nd.uChain+objTol {
+// losesTieBreak reports whether every leaf below a node with this bound and
+// tree position sorts after the incumbent leaf in (obj, path), so that the
+// node cannot hold the returned solution. Its leaves' objectives are at
+// least bound >= leaf.obj. Its position sorts after leaf.path and is
+// neither its ancestor (a leaf has no children) nor its descendant (the
+// node has none yet), so every extension of it sorts after leaf.path too.
+// The test is exact only for integral objectives, where bounds are rounded
+// up and leaf objectives are exact integers; with fractional costs the LP
+// bound does not bound the exactly compared leaf objectives.
+func (s *searcher) losesTieBreak(bound float64, path []byte, leaf candidate) bool {
+	return s.objInt && bound >= leaf.obj && pathLess(leaf.path, path)
+}
+
+// process solves one node. Its LP, children and candidates are a pure
+// function of the node. The incumbents only decide whether it is pruned
+// (strictly worse than gub or the chain incumbent, or losing the tie-break
+// to the incumbent leaf), and a pruned node never holds the returned
+// solution, so results are schedule-independent.
+func (s *searcher) process(sc *workScratch, nd *bbNode, gub float64, leaf candidate) nodeResult {
+	if nd.bound > gub+objTol || nd.bound > nd.uChain+objTol || s.losesTieBreak(nd.bound, nd.path, leaf) {
 		return nodeResult{}
 	}
 	var warm []int8
@@ -439,7 +462,7 @@ func (s *searcher) process(sc *workScratch, nd *bbNode, gub float64) nodeResult 
 	if s.objInt {
 		bound = math.Ceil(bound - 1e-7)
 	}
-	if bound > gub+objTol || bound > nd.uChain+objTol {
+	if bound > gub+objTol || bound > nd.uChain+objTol || s.losesTieBreak(bound, nd.path, leaf) {
 		return res
 	}
 	branch := s.m.pickFractional(sol.X)
@@ -491,8 +514,8 @@ func (s *searcher) process(sc *workScratch, nd *bbNode, gub float64) nodeResult 
 // nonbasic variable off its bound costs |reduced cost| per unit, and any
 // move pushing the node bound past the chain incumbent cannot contain a
 // solution worth returning. Only the deterministic chain incumbent uChain
-// is used, never the schedule-dependent global one, so the tree shape stays
-// identical for any worker count.
+// is used, never the schedule-dependent global one, so a node's children
+// are the same under every schedule (which nodes get explored is not).
 func (s *searcher) tightenByReducedCost(nd *bbNode, x, r []float64, lpObj, uChain float64, lb, ub []float64) {
 	if math.IsInf(uChain, 1) || r == nil {
 		return
@@ -541,7 +564,8 @@ func (s *searcher) commit(res nodeResult) {
 			(c.obj == s.leafObj && pathLess(c.path, s.leafPath)) {
 			s.leafX = append(s.leafX[:0], c.x...)
 			s.leafObj = c.obj
-			s.leafPath = append(s.leafPath[:0], c.path...)
+			// A fresh copy: workers hold the previous one outside s.mu.
+			s.leafPath = bytes.Clone(c.path)
 		}
 	}
 	if c := res.heur; c != nil && c.obj < s.heurObj {
