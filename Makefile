@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check check-imports check-fpvaload lint fmt vet bench bench-smoke bench-json bench-diff bench-ci fuzz-smoke smoke-daemon chaos clean
+.PHONY: all build test check check-imports check-fpvaload lint fmt vet loc bench bench-smoke bench-json bench-diff bench-ci fuzz-smoke smoke-daemon chaos clean
 
 # Where `make bench-json` records the benchmark suite (bumped per PR so the
 # repo keeps its performance trajectory).
@@ -27,6 +27,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines: the size measure the ROADMAP tracks. Tests, testdata
+# and the benchmark module (cmd/fpvaload) are left out.
+loc:
+	@git ls-files '*.go' | grep -v -e _test.go -e testdata -e cmd/fpvaload | xargs cat | wc -l
 
 # The whole static story in one command: go vet plus the fpvalint suite
 # (determinism, allocation-free annotations, context flow, API boundary,

@@ -30,6 +30,8 @@ type admission struct {
 
 	mu           sync.Mutex
 	buckets      map[string]*bucket
+	sweepAt      int       // bucket count at which a new client sweeps
+	sweptAt      time.Time // time of the last sweep
 	authFailures int
 	rateLimited  int
 }
@@ -139,6 +141,9 @@ func (a *admission) limit(client string) (retry time.Duration, limited bool) {
 	b := a.buckets[client]
 	now := a.now()
 	if b == nil {
+		if len(a.buckets) >= a.sweepAt || now.Sub(a.sweptAt).Seconds()*a.rate >= a.burst {
+			a.sweepFull(now)
+		}
 		b = &bucket{tokens: a.burst, last: now}
 		a.buckets[client] = b
 	} else {
@@ -151,6 +156,24 @@ func (a *admission) limit(client string) (retry time.Duration, limited bool) {
 	}
 	a.rateLimited++
 	return time.Duration((1 - b.tokens) / a.rate * float64(time.Second)), true
+}
+
+// sweepFull drops every bucket whose lazy refill has reached the burst: a
+// full bucket admits exactly what a fresh one does, so no decision
+// changes. A new client sweeps when the map has doubled since the last
+// sweep, which keeps the cost amortized O(1) per client, or when a full
+// refill period has passed since it, by when every bucket it kept is full
+// unless charged again. Without -token-file the clients are remote hosts,
+// so without sweeps every peer ever seen would keep a bucket. The caller
+// holds a.mu.
+func (a *admission) sweepFull(now time.Time) {
+	for client, b := range a.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*a.rate >= a.burst {
+			delete(a.buckets, client)
+		}
+	}
+	a.sweepAt = 2 * len(a.buckets)
+	a.sweptAt = now
 }
 
 // retryAfterSeconds rounds a wait up to whole seconds (the Retry-After

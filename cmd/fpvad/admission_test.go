@@ -6,6 +6,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -250,6 +251,44 @@ func TestRateLimit429(t *testing.T) {
 	}
 	if _, limited := adm.counters(); limited != 2 {
 		t.Errorf("rateLimited = %d, want 2", limited)
+	}
+}
+
+// TestRateLimitSweepsFullBuckets: buckets that have refilled to the burst
+// are dropped, so one-off peers do not pile up in the map, while a client
+// held at its limit keeps its state across the sweep.
+func TestRateLimitSweepsFullBuckets(t *testing.T) {
+	const rate, burst = 1.0, 2
+	adm := newAdmission(nil, rate, burst)
+	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	adm.now = func() time.Time { return clock }
+	charge := func(client string) bool {
+		_, limited := adm.limit(client)
+		return limited
+	}
+	charge("hog")
+	for i := range 10000 {
+		if charge(fmt.Sprintf("10.0.%d.%d", i/256, i%256)) {
+			t.Fatalf("host %d limited on its first request", i)
+		}
+	}
+	// A refill period later every one-off bucket is full; the hog drains
+	// its refilled burst and is limited again.
+	clock = clock.Add(time.Duration(burst / rate * float64(time.Second)))
+	for i := range burst {
+		if charge("hog") {
+			t.Fatalf("hog limited on request %d of its burst", i+1)
+		}
+	}
+	if !charge("hog") {
+		t.Fatal("hog not limited past its burst")
+	}
+	charge("192.0.2.1")
+	if n := len(adm.buckets); n > 2 {
+		t.Errorf("%d buckets after one more new host, want the hog's and the new host's", n)
+	}
+	if !charge("hog") {
+		t.Error("the sweep forgot that the hog is over its limit")
 	}
 }
 

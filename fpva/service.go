@@ -497,18 +497,24 @@ func (s *Service) sweepExpiredLocked() {
 		return
 	}
 	cutoff := time.Now().Add(-s.jobTTL)
+	s.dropJobsLocked(func(j *Job) bool { return j.expiredBefore(cutoff) })
+}
+
+// dropJobsLocked drops from tracking every job drop selects, in submission
+// order, and clears the vacated tail of the order slice's backing array so
+// no dropped job stays reachable from the service. Only terminal jobs may
+// be dropped. The caller holds s.mu.
+func (s *Service) dropJobsLocked(drop func(*Job) bool) {
 	kept := s.order[:0]
 	for _, j := range s.order {
-		if j.expiredBefore(cutoff) {
+		if drop(j) {
 			delete(s.jobs, j.id)
 			s.terminal--
 			continue
 		}
 		kept = append(kept, j)
 	}
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
+	clear(s.order[len(kept):])
 	s.order = kept
 }
 
@@ -598,20 +604,7 @@ func (s *Service) noteTerminal(kind JobKind, state JobState) {
 	if s.retain <= 0 || s.terminal <= s.retain {
 		return
 	}
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if s.terminal > s.retain && j.State().Terminal() {
-			delete(s.jobs, j.id)
-			s.terminal--
-			continue
-		}
-		kept = append(kept, j)
-	}
-	// Let the dropped tail be collected.
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
-	s.order = kept
+	s.dropJobsLocked(func(j *Job) bool { return s.terminal > s.retain && j.State().Terminal() })
 }
 
 // Forget drops a terminal job from the service's tracking (Job / Jobs /
@@ -624,14 +617,7 @@ func (s *Service) Forget(id string) bool {
 	if !ok || !j.State().Terminal() {
 		return false
 	}
-	delete(s.jobs, id)
-	for i, job := range s.order {
-		if job == j {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.terminal--
+	s.dropJobsLocked(func(job *Job) bool { return job == j })
 	return true
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/fpva"
 )
@@ -731,6 +732,38 @@ func TestServiceJobRetention(t *testing.T) {
 	if p, err := last.Plan(); err != nil || p == nil {
 		t.Errorf("forgotten job handle broke: %v", err)
 	}
+}
+
+// TestServiceForgetReleasesJob: once forgotten, a job must not stay
+// reachable from the service, for example from the vacated slot of the
+// submission-order slice; the newest job is the case fpvad's DELETE and
+// the Generate wrapper hit on every call.
+func TestServiceForgetReleasesJob(t *testing.T) {
+	svc := fpva.NewService()
+	a, err := fpva.NewArray(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.SubmitGenerate(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !svc.Forget(j.ID()) {
+		t.Fatalf("Forget(%s) = false", j.ID())
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wp := weak.Make(j)
+	j = nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("forgotten job still reachable from the service")
+	}
+	runtime.KeepAlive(svc)
 }
 
 // TestGenerateWrapperLeavesNoJobs: the one-shot wrapper must not

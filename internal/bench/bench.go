@@ -188,10 +188,6 @@ func Table1(ctx context.Context) (string, error) {
 	return b.String(), nil
 }
 
-// BaselineCount is the Sec. IV baseline cost: one valve switched per test,
-// two tests (open + closed) per valve.
-func BaselineCount(a *grid.Array) int { return 2 * a.NumNormal() }
-
 // BaselineVectors materializes the baseline test set: for every Normal
 // valve one dedicated flow-path vector through it (stuck-at-0 test) and one
 // dedicated cut vector containing it (stuck-at-1 test). 2*nv vectors — the

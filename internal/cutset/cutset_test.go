@@ -17,6 +17,23 @@ func generate(t *testing.T, a *grid.Array, opt Options) *Result {
 	return res
 }
 
+// coverageReport maps every Normal valve to the index of a cut whose vector
+// exposes its stuck-at-1 fault (-1 if none).
+func coverageReport(a *grid.Array, s *sim.Simulator, cuts []*Cut) map[grid.ValveID]int {
+	out := make(map[grid.ValveID]int)
+	for _, id := range a.NormalValves() {
+		out[id] = -1
+	}
+	for i, c := range cuts {
+		for _, id := range testableMembersVec(s, c, c.Vector(a, "check"), nil) {
+			if out[id] == -1 {
+				out[id] = i
+			}
+		}
+	}
+	return out
+}
+
 // assertCutCoverage checks that every Normal valve is a testable member of
 // some cut and that every cut separates source from sink.
 func assertCutCoverage(t *testing.T, a *grid.Array, res *Result) {
@@ -30,7 +47,7 @@ func assertCutCoverage(t *testing.T, a *grid.Array, res *Result) {
 			t.Fatalf("cut %d: %v", i, err)
 		}
 	}
-	report := CoverageReport(a, s, res.Cuts)
+	report := coverageReport(a, s, res.Cuts)
 	for id, cutIdx := range report {
 		if cutIdx == -1 {
 			t.Fatalf("valve %d not testable by any cut", id)
@@ -164,7 +181,7 @@ func TestRepairConstraint9(t *testing.T) {
 	// structure leaves H(1,1) bridging two visited corners.
 	a := grid.MustNewStandard(3, 3)
 	c := &Cut{Valves: []grid.ValveID{a.HValve(0, 1), a.HValve(2, 1)}}
-	repairConstraint9(a, c)
+	newRepairScratch(a).repair(a, c)
 	found := false
 	for _, id := range c.Valves {
 		if id == a.HValve(1, 1) {
@@ -180,7 +197,7 @@ func TestRepairLeavesLineCutsAlone(t *testing.T) {
 	a := grid.MustNewStandard(5, 5)
 	for _, c := range lineCuts(a) {
 		before := len(c.Valves)
-		repairConstraint9(a, c)
+		newRepairScratch(a).repair(a, c)
 		if len(c.Valves) != before {
 			t.Errorf("repair grew a straight cut from %d to %d members", before, len(c.Valves))
 		}
@@ -226,7 +243,7 @@ func TestBoundaryArcSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The dual must connect arc A and arc B (otherwise no cut exists).
-	if !d.g.Reachable(d.A, d.B, nil) {
+	if via := d.g.BFSInto(make([]int, d.g.N()), nil, []int{d.A}, nil); via[d.B] == -1 {
 		t.Error("dual arcs disconnected")
 	}
 	// Every interior corner has exactly 4 incident dual edges on a full

@@ -265,8 +265,8 @@ func lineCuts(a *grid.Array) []*Cut {
 	return out
 }
 
-// repairScratch holds the dense marker arrays of repairConstraint9,
-// reusable across the many repair probes of one Generate run.
+// repairScratch holds the dense marker arrays of the constraint (9)
+// repair, reusable across the many repair probes of one Generate run.
 type repairScratch struct {
 	visited []bool // corner index space
 	member  []bool // valve ID space
@@ -331,11 +331,6 @@ func (rs *repairScratch) repair(a *grid.Array, c *Cut) {
 	rs.mlist = rs.mlist[:0]
 }
 
-// repairConstraint9 is the one-shot form of repairScratch.repair.
-func repairConstraint9(a *grid.Array, c *Cut) {
-	newRepairScratch(a).repair(a, c)
-}
-
 // cutVectorInto writes the cut's command vector (members closed, every
 // other Normal valve open) into an existing vector, avoiding the per-probe
 // vector allocation of Cut.Vector.
@@ -372,30 +367,6 @@ func testableMembersVec(s *sim.Simulator, c *Cut, vec *sim.Vector, out []grid.Va
 			out = append(out, id)
 		}
 		vec.SetOpen(id, false)
-	}
-	return out
-}
-
-// testableMembers filters the cut's valves down to those whose stuck-at-1
-// fault the cut exposes.
-func testableMembers(a *grid.Array, s *sim.Simulator, c *Cut) []grid.ValveID {
-	vec := c.Vector(a, "check")
-	return testableMembersVec(s, c, vec, nil)
-}
-
-// CoverageReport maps every Normal valve to the index of a cut that tests
-// it (-1 if none) — used by the guarantee verifier and the benchmarks.
-func CoverageReport(a *grid.Array, s *sim.Simulator, cuts []*Cut) map[grid.ValveID]int {
-	out := make(map[grid.ValveID]int)
-	for _, id := range a.NormalValves() {
-		out[id] = -1
-	}
-	for i, c := range cuts {
-		for _, id := range testableMembers(a, s, c) {
-			if out[id] == -1 {
-				out[id] = i
-			}
-		}
 	}
 	return out
 }

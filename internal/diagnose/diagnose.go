@@ -164,18 +164,10 @@ func (sg *Signatures) NumCandidates() int { return len(sg.cands) }
 // candidate 0). The slice must not be modified.
 func (sg *Signatures) Candidate(c int) []sim.Fault { return sg.cands[c] }
 
-// ClassOf returns the smallest candidate index with a signature identical
-// to c's.
-func (sg *Signatures) ClassOf(c int) int { return int(sg.classOf[c]) }
-
 // Expected reports candidate c's expected reading of sink j under vector v.
 //
 //fpva:allocfree
 func (sg *Signatures) Expected(c, v, j int) bool { return sg.m.Reading(c, v, j) }
-
-// Golden returns the fault-free sink readings of vector v. The slice must
-// not be modified.
-func (sg *Signatures) Golden(v int) []bool { return sg.cv.Golden(v) }
 
 // NewSet returns the full ambiguity set: a bitset with every candidate
 // alive.

@@ -48,9 +48,6 @@ func NewSession(sg *Signatures) *Session {
 	}
 }
 
-// Signatures returns the table the session narrows against.
-func (s *Session) Signatures() *Signatures { return s.sg }
-
 // Observe narrows the ambiguity set by one observation: vector v was
 // applied and readings were seen at the sinks. Observing a vector twice is
 // allowed (contradictory readings simply empty the set).
@@ -65,9 +62,6 @@ func (s *Session) Observe(v int, readings []bool) error {
 	return nil
 }
 
-// Alive returns the surviving candidate indices, ascending.
-func (s *Session) Alive() []int { return Members(s.alive) }
-
 // AliveCount returns the size of the surviving ambiguity set.
 func (s *Session) AliveCount() int { return Count(s.alive) }
 
@@ -76,9 +70,6 @@ func (s *Session) AliveSet() []uint64 { return append([]uint64(nil), s.alive...)
 
 // Rounds returns the per-round narrowing stats, in observation order.
 func (s *Session) Rounds() []Round { return s.rounds }
-
-// Probed reports whether vector v has been observed.
-func (s *Session) Probed(v int) bool { return s.probed[v] }
 
 // Done reports whether probing is over: the set is empty (inconsistent
 // observations), a singleton, or one indistinguishable class.

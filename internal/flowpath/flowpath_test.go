@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/ilp"
 	"repro/internal/sim"
 )
 
@@ -252,25 +251,6 @@ func TestILPMonolithicTiny(t *testing.T) {
 	// (4 cells): needs exactly 2 paths.
 	if len(res.Paths) != 2 {
 		t.Errorf("2x2 monolithic: %d paths, want 2", len(res.Paths))
-	}
-}
-
-func TestILPSinglePathForced(t *testing.T) {
-	a := grid.MustNewStandard(3, 3)
-	uncovered := map[grid.ValveID]bool{}
-	target := a.VValve(1, 0)
-	p, _, _, err := ilpSinglePath(context.Background(), a, uncovered, target, ilp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, id := range p.Valves {
-		if id == target {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("forced valve not on ILP path")
 	}
 }
 

@@ -41,6 +41,9 @@ func (e Engine) String() string {
 	}
 }
 
+// monolithicMaxPaths caps np for the monolithic engine.
+const monolithicMaxPaths = 8
+
 // Options configures Generate.
 type Options struct {
 	Engine Engine
@@ -48,8 +51,6 @@ type Options struct {
 	// Zero means direct mode (coarsest strips). The paper's hierarchical
 	// evaluation corresponds to StripRows = StripCols = 5.
 	StripRows, StripCols int
-	// MonolithicMaxPaths caps np for the monolithic engine (default 8).
-	MonolithicMaxPaths int
 	// ILP tunes the branch-and-bound solver for the ILP engines.
 	ILP ilp.Options
 	// NoPatch disables the patching pass (exposes raw engine coverage).
@@ -80,11 +81,7 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 	case EngineILPIterative:
 		paths, stats, err = ilpIterativePaths(ctx, a, opt.ILP)
 	case EngineILPMonolithic:
-		maxPaths := opt.MonolithicMaxPaths
-		if maxPaths <= 0 {
-			maxPaths = 8
-		}
-		paths, stats, err = ilpMonolithicPaths(ctx, a, 1, maxPaths, opt.ILP)
+		paths, stats, err = ilpMonolithicPaths(ctx, a, 1, monolithicMaxPaths, opt.ILP)
 	default:
 		return nil, fmt.Errorf("flowpath: unknown engine %v", opt.Engine)
 	}

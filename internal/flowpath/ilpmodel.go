@@ -257,52 +257,6 @@ func (pm *pathModel) extract(x []float64) (*Path, error) {
 	return Build(a, srcPort, sinkPort, cells)
 }
 
-// ilpSinglePath solves one standalone path model maximizing newly covered
-// valves; forced (when not NoValve) must lie on the path, via a bound fix.
-// The iterative engine below does not use this — it keeps one persistent
-// model across rounds — but one-off forced-path queries and tests do.
-func ilpSinglePath(ctx context.Context, a *grid.Array, uncovered map[grid.ValveID]bool,
-	forced grid.ValveID, opts ilp.Options) (*Path, int, ilp.Solution, error) {
-	var m ilp.Model
-	// Objective: -100 per newly covered valve, +1 per edge (shorter ties).
-	pm := addPathBlock(&m, a, "", func(e grid.ValveID) float64 {
-		if a.Kind(e) == grid.Normal && uncovered[e] {
-			return -100
-		}
-		return 1
-	})
-	sumEquals(&m, pm.entryVars(), 1)
-	sumEquals(&m, pm.exitVars(), 1)
-
-	if forced != grid.NoValve {
-		id, ok := pm.v[forced]
-		if !ok {
-			return nil, 0, ilp.Solution{}, fmt.Errorf("flowpath: forced valve %d not modelled", forced)
-		}
-		// A bound fix, not an equality row: the row structure stays
-		// identical across solves, which keeps warm starts applicable.
-		m.FixVar(id, 1)
-	}
-	sol := m.Solve(ctx, opts)
-	if sol.Status == ilp.Canceled {
-		return nil, 0, sol, ctx.Err()
-	}
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return nil, 0, sol, fmt.Errorf("flowpath: single-path ILP %v", sol.Status)
-	}
-	p, err := pm.extract(sol.X)
-	if err != nil {
-		return nil, 0, sol, err
-	}
-	newCov := 0
-	for _, e := range p.CoveredNormal(a) {
-		if uncovered[e] {
-			newCov++
-		}
-	}
-	return p, newCov, sol, nil
-}
-
 // ilpIterativePaths covers all Normal valves path by path. The model is
 // built once; each round only rewrites the coverage objective (-100 per
 // newly covered valve, +1 per edge as a shorter-path tie break) on the same

@@ -1,9 +1,8 @@
 // Package graph provides the graph algorithms the test-generation framework
-// relies on: breadth-first reachability with path recovery, connected
-// components, union-find, Dijkstra shortest paths, and Dinic max-flow /
-// min-cut. Go's standard library has no graph support, so this package is
-// the substrate equivalent of the scientific graph libraries the paper's
-// C++ implementation could lean on.
+// relies on: breadth-first reachability (scalar and 64 lanes to a word) and
+// Dijkstra shortest paths with path recovery. Go's standard library has no
+// graph support, so this package is the substrate equivalent of the
+// scientific graph libraries the paper's C++ implementation could lean on.
 package graph
 
 import (
@@ -120,19 +119,14 @@ func (g *Graph) EdgeAt(e int) Edge { return g.edges[e] }
 // Edges returns all edges. The slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// BFS runs breadth-first search from src with edges filtered by enabled
-// (nil means all edges usable). It returns, for each node, the edge index
-// used to first reach it (-1 if unreached, -2 for src itself).
-func (g *Graph) BFS(src int, enabled func(e int) bool) []int {
-	return g.BFSInto(make([]int, g.n), make([]int, 0, g.n), []int{src}, enabled)
-}
-
-// BFSInto is the allocation-free, multi-source variant of BFS. It writes the
-// via-edge result into the caller-provided via slice (len(via) must be at
-// least N()) and uses queue's backing array as frontier scratch (cap(queue)
-// should be at least N() to stay allocation-free). Every node in srcs is
-// seeded with via = -2; reachability is therefore computed from the source
-// set as a whole. It returns via, resliced to length N().
+// BFSInto runs a multi-source breadth-first search with edges filtered by
+// enabled (nil means all edges usable). It writes, for each node, the edge
+// index used to first reach it (-1 if unreached, -2 for a source) into the
+// caller-provided via slice (len(via) must be at least N()) and uses
+// queue's backing array as frontier scratch (cap(queue) should be at least
+// N() to stay allocation-free). Every node in srcs is seeded with via = -2;
+// reachability is therefore computed from the source set as a whole. It
+// returns via, resliced to length N().
 //
 //fpva:allocfree
 func (g *Graph) BFSInto(via, queue []int, srcs []int, enabled func(e int) bool) []int {
@@ -169,7 +163,7 @@ func (g *Graph) BFSInto(via, queue []int, srcs []int, enabled func(e int) bool) 
 // (a hot-path optimization: lanes whose answer is already known are not
 // dragged through the traversal) and must mask results by seed.
 //
-// Unlike the boolean BFS, a node's mask can grow after it has been
+// Unlike BFSInto, a node's mask can grow after it has been
 // processed (a later frontier may reach it in additional universes), so
 // nodes re-enter the frontier until a fixpoint; inq deduplicates queue
 // membership, which bounds the queue to N() entries and lets it run as a
@@ -263,92 +257,6 @@ func (g *Graph) RelaxWordsInto(reach []uint64, queue []int, inq []bool, starts [
 	return reach
 }
 
-// Reachable reports whether dst can be reached from src through enabled
-// edges.
-func (g *Graph) Reachable(src, dst int, enabled func(e int) bool) bool {
-	return g.BFS(src, enabled)[dst] != -1
-}
-
-// Path returns the node sequence of a shortest (fewest-edge) path from src
-// to dst through enabled edges, or nil if none exists.
-func (g *Graph) Path(src, dst int, enabled func(e int) bool) []int {
-	via := g.BFS(src, enabled)
-	if via[dst] == -1 {
-		return nil
-	}
-	var rev []int
-	u := dst
-	for u != src {
-		rev = append(rev, u)
-		e := g.edges[via[u]]
-		if e.U == u {
-			u = e.V
-		} else {
-			u = e.U
-		}
-	}
-	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// PathEdges returns the edge indices of a shortest path src->dst through
-// enabled edges, or nil if none exists.
-func (g *Graph) PathEdges(src, dst int, enabled func(e int) bool) []int {
-	via := g.BFS(src, enabled)
-	if via[dst] == -1 {
-		return nil
-	}
-	var rev []int
-	u := dst
-	for u != src {
-		eid := via[u]
-		rev = append(rev, eid)
-		e := g.edges[eid]
-		if e.U == u {
-			u = e.V
-		} else {
-			u = e.U
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Components returns a component label per node and the component count,
-// considering only enabled edges.
-func (g *Graph) Components(enabled func(e int) bool) ([]int, int) {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = next
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, a := range g.adj[u] {
-				if comp[a.To] != -1 || (enabled != nil && !enabled(a.Edge)) {
-					continue
-				}
-				comp[a.To] = next
-				queue = append(queue, a.To)
-			}
-		}
-		next++
-	}
-	return comp, next
-}
-
 // DijkstraScratch holds the reusable working set of repeated Dijkstra runs
 // over one graph: distance/via/done arrays and the binary heap. Routing
 // loops that call Dijkstra thousands of times (path patching, leakage
@@ -370,16 +278,10 @@ func (g *Graph) NewDijkstraScratch() *DijkstraScratch {
 	}
 }
 
-// Dijkstra computes shortest path distances from src with per-edge weights
-// given by weight (return math.Inf(1) to disable an edge). It returns the
-// distance slice and the via-edge slice in the same convention as BFS.
-func (g *Graph) Dijkstra(src int, weight func(e int) float64) ([]float64, []int) {
-	dist, via := g.DijkstraInto(g.NewDijkstraScratch(), src, weight)
-	return dist, via
-}
-
-// DijkstraInto is Dijkstra over caller-owned scratch; the returned slices
-// alias the scratch and are valid until its next use.
+// DijkstraInto computes shortest path distances from src with per-edge
+// weights given by weight (return math.Inf(1) to disable an edge). It
+// returns the distance slice and the via-edge slice in the same convention
+// as BFSInto; both alias the scratch and are valid until its next use.
 //
 //fpva:allocfree
 func (g *Graph) DijkstraInto(sc *DijkstraScratch, src int, weight func(e int) float64) ([]float64, []int) {
@@ -418,15 +320,9 @@ func (g *Graph) DijkstraInto(sc *DijkstraScratch, src int, weight func(e int) fl
 	return dist, via
 }
 
-// DijkstraPathEdges returns the edge indices of a minimum-weight path
-// src->dst, or nil if unreachable.
-func (g *Graph) DijkstraPathEdges(src, dst int, weight func(e int) float64) []int {
-	return g.DijkstraPathEdgesInto(g.NewDijkstraScratch(), src, dst, weight, nil)
-}
-
-// DijkstraPathEdgesInto is DijkstraPathEdges over caller-owned scratch,
-// appending the edge sequence to buf (pass buf[:0] to reuse its backing
-// array). It returns nil if dst is unreachable.
+// DijkstraPathEdgesInto appends the edge indices of a minimum-weight path
+// src->dst to buf (pass buf[:0] to reuse its backing array), searching over
+// caller-owned scratch. It returns nil if dst is unreachable.
 func (g *Graph) DijkstraPathEdgesInto(sc *DijkstraScratch, src, dst int, weight func(e int) float64, buf []int) []int {
 	dist, via := g.DijkstraInto(sc, src, weight)
 	if math.IsInf(dist[dst], 1) {
@@ -502,51 +398,3 @@ func (h *heapF) swap(i, j int) {
 	h.node[i], h.node[j] = h.node[j], h.node[i]
 	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
 }
-
-// UnionFind is a disjoint-set forest with union by rank and path halving.
-type UnionFind struct {
-	parent []int
-	rank   []int
-	sets   int
-}
-
-// NewUnionFind creates n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int, n), rank: make([]int, n), sets: n}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-// Find returns the set representative of x.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b; it reports whether a merge happened.
-func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	u.sets--
-	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
-
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b int) bool { return u.Find(a) == u.Find(b) }

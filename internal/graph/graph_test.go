@@ -3,8 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // ladder builds a 2 x k grid graph and returns it with the node indexer.
@@ -22,46 +22,47 @@ func ladder(k int) (*Graph, func(r, c int) int) {
 	return g, at
 }
 
+// bfs searches from src into fresh buffers.
+func bfs(g *Graph, src int, enabled func(e int) bool) []int {
+	return g.BFSInto(make([]int, g.N()), make([]int, 0, g.N()), []int{src}, enabled)
+}
+
+// walkBack follows the via edges of a search from dst back to a source and
+// returns them in walk order, failing if a via edge does not touch the node
+// it was recorded for or the walk does not end.
+func walkBack(t *testing.T, g *Graph, via []int, dst int) []int {
+	t.Helper()
+	var edges []int
+	for u := dst; via[u] != -2; {
+		if via[u] == -1 {
+			t.Fatalf("node %d unreached", u)
+		}
+		edges = append(edges, via[u])
+		switch e := g.EdgeAt(via[u]); u {
+		case e.U:
+			u = e.V
+		case e.V:
+			u = e.U
+		default:
+			t.Fatalf("via edge %d of node %d does not touch it", via[u], u)
+		}
+		if len(edges) > g.N() {
+			t.Fatalf("via walk from %d does not reach a source", dst)
+		}
+	}
+	return edges
+}
+
 func TestBFSAndPath(t *testing.T) {
 	g, at := ladder(5)
-	via := g.BFS(at(0, 0), nil)
+	via := bfs(g, at(0, 0), nil)
 	for n := 0; n < g.N(); n++ {
 		if via[n] == -1 {
 			t.Fatalf("node %d unreachable in connected graph", n)
 		}
 	}
-	p := g.Path(at(0, 0), at(1, 4), nil)
-	if len(p) != 6 { // shortest path has 5 edges
-		t.Errorf("path len %d, want 6 nodes", len(p))
-	}
-	if p[0] != at(0, 0) || p[len(p)-1] != at(1, 4) {
-		t.Errorf("path endpoints %d..%d", p[0], p[len(p)-1])
-	}
-	for i := 0; i+1 < len(p); i++ {
-		found := false
-		for _, a := range g.Adj(p[i]) {
-			if a.To == p[i+1] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("path step %d-%d is not an edge", p[i], p[i+1])
-		}
-	}
-}
-
-func TestPathEdgesMatchesPath(t *testing.T) {
-	g, at := ladder(7)
-	nodes := g.Path(at(0, 0), at(1, 6), nil)
-	edges := g.PathEdges(at(0, 0), at(1, 6), nil)
-	if len(edges) != len(nodes)-1 {
-		t.Fatalf("edges %d vs nodes %d", len(edges), len(nodes))
-	}
-	for i, eid := range edges {
-		e := g.EdgeAt(eid)
-		if !(e.U == nodes[i] && e.V == nodes[i+1] || e.V == nodes[i] && e.U == nodes[i+1]) {
-			t.Fatalf("edge %d does not join consecutive path nodes", eid)
-		}
+	if got := len(walkBack(t, g, via, at(1, 4))); got != 5 {
+		t.Errorf("via walk from the far corner has %d edges, want the shortest 5", got)
 	}
 }
 
@@ -74,29 +75,12 @@ func TestBFSFiltered(t *testing.T) {
 			vertical[i] = true
 		}
 	}
-	enabled := func(e int) bool { return !vertical[e] }
-	if g.Reachable(at(0, 0), at(1, 0), enabled) {
+	via := bfs(g, at(0, 0), func(e int) bool { return !vertical[e] })
+	if via[at(1, 0)] != -1 || via[at(1, 2)] != -1 {
 		t.Error("rows connected despite disabled rungs")
 	}
-	if !g.Reachable(at(0, 0), at(0, 2), enabled) {
+	if via[at(0, 2)] == -1 {
 		t.Error("top row should stay connected")
-	}
-	if g.Path(at(0, 0), at(1, 2), enabled) != nil {
-		t.Error("Path across disabled edges should be nil")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, -1)
-	g.AddEdge(1, 2, -1)
-	g.AddEdge(3, 4, -1)
-	comp, n := g.Components(nil)
-	if n != 3 {
-		t.Fatalf("components: %d, want 3", n)
-	}
-	if comp[0] != comp[2] || comp[3] != comp[4] || comp[0] == comp[3] || comp[5] == comp[0] {
-		t.Errorf("labels: %v", comp)
 	}
 }
 
@@ -111,7 +95,7 @@ func TestSelfLoopAndParallelEdges(t *testing.T) {
 	if len(g.Adj(0)) != 3 { // self-loop appears once
 		t.Errorf("adj(0)=%d arcs", len(g.Adj(0)))
 	}
-	if !g.Reachable(0, 1, nil) {
+	if bfs(g, 0, nil)[1] == -1 {
 		t.Error("unreachable across parallel edges")
 	}
 }
@@ -123,21 +107,28 @@ func TestDijkstra(t *testing.T) {
 	e12 := g.AddEdge(1, 2, -1)
 	e02 := g.AddEdge(0, 2, -1)
 	w := map[int]float64{e01: 1, e12: 1, e02: 5}
-	dist, _ := g.Dijkstra(0, func(e int) float64 { return w[e] })
+	weight := func(e int) float64 { return w[e] }
+	// One scratch serves every query below: each must reset its state.
+	sc := g.NewDijkstraScratch()
+	dist, _ := g.DijkstraInto(sc, 0, weight)
 	if dist[2] != 2 {
 		t.Errorf("dist[2]=%v, want 2", dist[2])
 	}
-	edges := g.DijkstraPathEdges(0, 2, func(e int) float64 { return w[e] })
+	edges := g.DijkstraPathEdgesInto(sc, 0, 2, weight, nil)
 	if len(edges) != 2 || edges[0] != e01 || edges[1] != e12 {
 		t.Errorf("path edges %v", edges)
 	}
+	// The path is appended after an existing prefix of buf.
+	if got := g.DijkstraPathEdgesInto(sc, 0, 2, weight, []int{-7}); len(got) != 3 || got[0] != -7 || got[1] != e01 || got[2] != e12 {
+		t.Errorf("path edges after prefix %v", got)
+	}
 	// Disabled edge via +Inf.
 	w[e12] = math.Inf(1)
-	dist, _ = g.Dijkstra(0, func(e int) float64 { return w[e] })
+	dist, _ = g.DijkstraInto(sc, 0, weight)
 	if dist[2] != 5 {
 		t.Errorf("dist[2]=%v with e12 disabled, want 5", dist[2])
 	}
-	if p := g.DijkstraPathEdges(1, 2, func(e int) float64 { return math.Inf(1) }); p != nil {
+	if p := g.DijkstraPathEdgesInto(sc, 1, 2, func(e int) float64 { return math.Inf(1) }, nil); p != nil {
 		t.Errorf("all-disabled path: %v, want nil", p)
 	}
 }
@@ -150,12 +141,12 @@ func TestDijkstraAgreesWithBFSOnUnitWeights(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), -1)
 		}
-		dist, _ := g.Dijkstra(0, func(int) float64 { return 1 })
-		via := g.BFS(0, nil)
+		dist, _ := g.DijkstraInto(g.NewDijkstraScratch(), 0, func(int) float64 { return 1 })
+		via := bfs(g, 0, nil)
 		for v := 0; v < n; v++ {
 			bfsDepth := -1
 			if via[v] != -1 {
-				bfsDepth = len(g.PathEdges(0, v, nil))
+				bfsDepth = len(walkBack(t, g, via, v))
 			}
 			switch {
 			case bfsDepth == -1 && !math.IsInf(dist[v], 1):
@@ -164,162 +155,6 @@ func TestDijkstraAgreesWithBFSOnUnitWeights(t *testing.T) {
 				t.Fatalf("trial %d node %d: BFS %d vs Dijkstra %v", trial, v, bfsDepth, dist[v])
 			}
 		}
-	}
-}
-
-func TestUnionFind(t *testing.T) {
-	u := NewUnionFind(5)
-	if u.Sets() != 5 {
-		t.Fatalf("Sets=%d", u.Sets())
-	}
-	if !u.Union(0, 1) || !u.Union(1, 2) {
-		t.Error("fresh unions should merge")
-	}
-	if u.Union(0, 2) {
-		t.Error("redundant union should report false")
-	}
-	if u.Sets() != 3 {
-		t.Errorf("Sets=%d, want 3", u.Sets())
-	}
-	if !u.Connected(0, 2) || u.Connected(0, 3) {
-		t.Error("connectivity wrong")
-	}
-}
-
-func TestQuickUnionFindMatchesComponents(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 12
-		g := New(n)
-		u := NewUnionFind(n)
-		for i := 0; i < 14; i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(a, b, -1)
-			u.Union(a, b)
-		}
-		comp, k := g.Components(nil)
-		if k != u.Sets() {
-			return false
-		}
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if (comp[a] == comp[b]) != u.Connected(a, b) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaxFlowSimple(t *testing.T) {
-	// Classic 4-node diamond: s=0, t=3; two unit paths.
-	f := NewFlowNetwork(4)
-	f.AddArc(0, 1, 1, 1)
-	f.AddArc(0, 2, 1, 2)
-	f.AddArc(1, 3, 1, 3)
-	f.AddArc(2, 3, 1, 4)
-	if got := f.MaxFlow(0, 3); got != 2 {
-		t.Errorf("max flow %d, want 2", got)
-	}
-}
-
-func TestMaxFlowBottleneck(t *testing.T) {
-	// s -> a (10), a -> b (3), b -> t (10): bottleneck 3.
-	f := NewFlowNetwork(4)
-	f.AddArc(0, 1, 10, 0)
-	f.AddArc(1, 2, 3, 1)
-	f.AddArc(2, 3, 10, 2)
-	if got := f.MaxFlow(0, 3); got != 3 {
-		t.Errorf("max flow %d, want 3", got)
-	}
-	cut := f.MinCutArcs(0)
-	if len(cut) != 1 || cut[0] != 1 {
-		t.Errorf("min cut labels %v, want [1]", cut)
-	}
-}
-
-func TestMaxFlowSourceEqualsSink(t *testing.T) {
-	f := NewFlowNetwork(2)
-	f.AddArc(0, 1, 5, 0)
-	if got := f.MaxFlow(0, 0); got != 0 {
-		t.Errorf("s==t flow %d", got)
-	}
-}
-
-func TestMinCutSeparates(t *testing.T) {
-	// Grid-ish network; after max flow, the source side must not contain t.
-	f := NewFlowNetwork(6)
-	f.AddArc(0, 1, 2, 10)
-	f.AddArc(0, 2, 2, 11)
-	f.AddArc(1, 3, 1, 12)
-	f.AddArc(2, 3, 1, 13)
-	f.AddArc(1, 4, 1, 14)
-	f.AddArc(2, 4, 1, 15)
-	f.AddArc(3, 5, 2, 16)
-	f.AddArc(4, 5, 2, 17)
-	flow := f.MaxFlow(0, 5)
-	if flow != 4 {
-		t.Fatalf("flow %d, want 4", flow)
-	}
-	side := f.SourceSide(0)
-	if side[5] {
-		t.Error("sink on source side after max flow")
-	}
-	if !side[0] {
-		t.Error("source not on source side")
-	}
-}
-
-func TestMaxFlowMinCutDualityRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		n := 8
-		f := NewFlowNetwork(n)
-		type arc struct {
-			u, v int
-			c    int64
-		}
-		var arcs []arc
-		for i := 0; i < 16; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			c := int64(rng.Intn(4) + 1)
-			f.AddArc(u, v, c, i)
-			arcs = append(arcs, arc{u, v, c})
-		}
-		flow := f.MaxFlow(0, n-1)
-		// Duality: flow equals capacity across the residual cut.
-		side := f.SourceSide(0)
-		var cutCap int64
-		for _, a := range arcs {
-			if side[a.u] && !side[a.v] {
-				cutCap += a.c
-			}
-		}
-		if flow != cutCap {
-			t.Fatalf("trial %d: flow %d != cut capacity %d", trial, flow, cutCap)
-		}
-	}
-}
-
-func TestUndirectedFlow(t *testing.T) {
-	f := NewFlowNetwork(3)
-	f.AddUndirected(0, 1, 1, 0)
-	f.AddUndirected(1, 2, 1, 1)
-	if got := f.MaxFlow(0, 2); got != 1 {
-		t.Errorf("undirected chain flow %d, want 1", got)
-	}
-}
-
-func TestSplitHelpers(t *testing.T) {
-	if SplitIn(3) != 6 || SplitOut(3) != 7 {
-		t.Error("split index helpers wrong")
 	}
 }
 
@@ -332,22 +167,21 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	New(2).AddEdge(0, 5, -1)
 }
 
+// TestBFSIntoMatchesBFS pins buffer reuse: a search into buffers dirtied
+// by earlier searches from other sources and filters gives exactly the
+// result of the same search into fresh buffers.
 func TestBFSIntoMatchesBFS(t *testing.T) {
 	g, at := ladder(6)
-	enabled := func(e int) bool { return e%3 != 0 }
-	want := g.BFS(at(0, 0), enabled)
+	sparse := func(e int) bool { return e%3 != 0 }
 	via := make([]int, g.N())
 	queue := make([]int, 0, g.N())
-	got := g.BFSInto(via, queue, []int{at(0, 0)}, enabled)
-	for n := range want {
-		if (want[n] == -1) != (got[n] == -1) || want[n] == -2 && got[n] != -2 {
-			t.Fatalf("node %d: BFS via %d, BFSInto via %d", n, want[n], got[n])
+	for _, src := range []int{at(0, 0), at(1, 5), at(0, 3)} {
+		for _, enabled := range []func(int) bool{sparse, nil} {
+			got := g.BFSInto(via, queue, []int{src}, enabled)
+			if want := bfs(g, src, enabled); !slices.Equal(got, want) {
+				t.Fatalf("source %d: reused buffers gave %v, fresh ones %v", src, got, want)
+			}
 		}
-	}
-	// Reuse: a second search into the same buffers must fully reset state.
-	got = g.BFSInto(via, queue, []int{at(1, 5)}, nil)
-	if got[at(1, 5)] != -2 || got[at(0, 0)] == -1 {
-		t.Fatalf("reused buffers gave %v", got)
 	}
 }
 

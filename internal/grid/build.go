@@ -36,77 +36,6 @@ func MustNewStandard(nr, nc int) *Array {
 	return a
 }
 
-// Region is a rectangular cell region [R0,R1) x [C0,C1) of an array, used by
-// the hierarchical model to address subblocks.
-type Region struct {
-	R0, C0, R1, C1 int
-}
-
-// Contains reports whether cell (r, c) lies inside the region.
-func (g Region) Contains(r, c int) bool {
-	return r >= g.R0 && r < g.R1 && c >= g.C0 && c < g.C1
-}
-
-// Rows returns R1-R0.
-func (g Region) Rows() int { return g.R1 - g.R0 }
-
-// Cols returns C1-C0.
-func (g Region) Cols() int { return g.C1 - g.C0 }
-
-func (g Region) String() string {
-	return fmt.Sprintf("[%d,%d)x[%d,%d)", g.R0, g.R1, g.C0, g.C1)
-}
-
-// Whole returns the region covering the full array.
-func (a *Array) Whole() Region { return Region{0, 0, a.nr, a.nc} }
-
-// Partition splits the array into blocks of at most blockR x blockC cells,
-// row-major. This is the paper's hierarchical decomposition (Sec. III-B-4);
-// the evaluation uses 5x5 blocks.
-func (a *Array) Partition(blockR, blockC int) ([][]Region, error) {
-	if blockR < 1 || blockC < 1 {
-		return nil, fmt.Errorf("grid: block size %dx%d out of range", blockR, blockC)
-	}
-	nbr := (a.nr + blockR - 1) / blockR
-	nbc := (a.nc + blockC - 1) / blockC
-	out := make([][]Region, nbr)
-	for br := 0; br < nbr; br++ {
-		out[br] = make([]Region, nbc)
-		for bc := 0; bc < nbc; bc++ {
-			g := Region{
-				R0: br * blockR, C0: bc * blockC,
-				R1: (br + 1) * blockR, C1: (bc + 1) * blockC,
-			}
-			if g.R1 > a.nr {
-				g.R1 = a.nr
-			}
-			if g.C1 > a.nc {
-				g.C1 = a.nc
-			}
-			out[br][bc] = g
-		}
-	}
-	return out, nil
-}
-
-// InteriorValves returns the Normal valves strictly inside region g: both
-// endpoints of the edge are cells of g.
-func (a *Array) InteriorValves(g Region) []ValveID {
-	var out []ValveID
-	for _, id := range a.NormalValves() {
-		u, w := a.EdgeCells(id)
-		if u == NoCell || w == NoCell {
-			continue
-		}
-		ur, uc := a.CellCoords(u)
-		wr, wc := a.CellCoords(w)
-		if g.Contains(ur, uc) && g.Contains(wr, wc) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // MixerSpec describes a dynamic mixer footprint on the array (Fig. 2(b)/(c)
 // of the paper): a ring of cells of the given height x width whose interior
 // channel forms the mixing loop. Height and width are in cells and must be

@@ -209,9 +209,6 @@ func (a *Array) isBoundary(id ValveID) bool {
 	return r == 0 || r == a.nr
 }
 
-// IsBoundary reports whether edge id lies on the chip boundary.
-func (a *Array) IsBoundary(id ValveID) bool { return a.isBoundary(id) }
-
 // CellIndex returns the dense index of cell (r, c), or NoCell if out of
 // range.
 func (a *Array) CellIndex(r, c int) CellID {
@@ -418,18 +415,6 @@ func (a *Array) NumNormal() int {
 // Passable reports whether fluid can ever traverse edge id under some valve
 // command: true for Normal, Channel and PortOpen edges, false for Walls.
 func (a *Array) Passable(id ValveID) bool { return a.kinds[id] != Wall }
-
-// Clone returns a deep copy of the array.
-func (a *Array) Clone() *Array {
-	b := &Array{
-		nr:       a.nr,
-		nc:       a.nc,
-		kinds:    append([]Kind(nil), a.kinds...),
-		obstacle: append([]bool(nil), a.obstacle...),
-		ports:    append([]Port(nil), a.ports...),
-	}
-	return b
-}
 
 // Validate checks structural invariants: every port sits on a boundary edge,
 // obstacle cells have only Wall edges, and at least one source and one sink

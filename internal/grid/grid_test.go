@@ -2,6 +2,7 @@ package grid
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -125,10 +126,10 @@ func TestBoundaryWallsByDefault(t *testing.T) {
 	a := MustNew(3, 4)
 	for id := 0; id < a.NumValves(); id++ {
 		v := ValveID(id)
-		if a.IsBoundary(v) && a.Kind(v) != Wall {
+		if a.isBoundary(v) && a.Kind(v) != Wall {
 			t.Errorf("boundary valve %d has kind %v", id, a.Kind(v))
 		}
-		if !a.IsBoundary(v) && a.Kind(v) != Normal {
+		if !a.isBoundary(v) && a.Kind(v) != Normal {
 			t.Errorf("interior valve %d has kind %v", id, a.Kind(v))
 		}
 	}
@@ -265,71 +266,6 @@ func TestStandardPorts(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	a := MustNewStandard(4, 4)
-	if _, err := a.SetObstacle(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	b := a.Clone()
-	if _, err := b.SetObstacle(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if a.IsObstacle(2, 2) {
-		t.Error("Clone shares obstacle storage")
-	}
-	if b.NumNormal() == a.NumNormal() {
-		t.Error("Clone did not diverge")
-	}
-}
-
-func TestPartition(t *testing.T) {
-	a := MustNew(10, 10)
-	blocks, err := a.Partition(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 2 || len(blocks[0]) != 2 {
-		t.Fatalf("blocks: %dx%d", len(blocks), len(blocks[0]))
-	}
-	if blocks[1][1] != (Region{5, 5, 10, 10}) {
-		t.Errorf("block[1][1] = %v", blocks[1][1])
-	}
-	// Ragged partition.
-	b := MustNew(7, 12)
-	blocks, err = b.Partition(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 2 || len(blocks[0]) != 3 {
-		t.Fatalf("ragged blocks: %dx%d", len(blocks), len(blocks[0]))
-	}
-	last := blocks[1][2]
-	if last.Rows() != 2 || last.Cols() != 2 {
-		t.Errorf("ragged last block %v", last)
-	}
-	if _, err := b.Partition(0, 5); err == nil {
-		t.Error("zero block size: want error")
-	}
-}
-
-func TestInteriorValves(t *testing.T) {
-	a := MustNew(10, 10)
-	g := Region{0, 0, 5, 5}
-	got := a.InteriorValves(g)
-	// A 5x5 block has 5*4 + 4*5 = 40 strictly interior valves.
-	if len(got) != 40 {
-		t.Errorf("interior valves: %d, want 40", len(got))
-	}
-	for _, id := range got {
-		u, w := a.EdgeCells(id)
-		ur, uc := a.CellCoords(u)
-		wr, wc := a.CellCoords(w)
-		if !g.Contains(ur, uc) || !g.Contains(wr, wc) {
-			t.Fatalf("valve %d leaks out of region", id)
-		}
-	}
-}
-
 func TestMixerValves(t *testing.T) {
 	a := MustNewStandard(6, 6)
 	for _, spec := range []MixerSpec{
@@ -383,7 +319,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := Marshal(a)
-	b, err := ParseString(text)
+	b, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, text)
 	}
@@ -407,7 +343,7 @@ func TestParseErrors(t *testing.T) {
 		"bad edge char":   "fpva 1 1\n+X+\nX.?\n+X+\n",
 		"normal on bound": "fpva 1 1\n+X+\no.X\n+X+\n",
 	} {
-		if _, err := ParseString(text); err == nil {
+		if _, err := Parse(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
@@ -426,7 +362,7 @@ func TestParseHeaderBoundsAllocation(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ParseString(text)
+		_, err := Parse(strings.NewReader(text))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%q: want error", text)
@@ -477,7 +413,7 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		b, err := ParseString(Marshal(a))
+		b, err := Parse(strings.NewReader(Marshal(a)))
 		if err != nil {
 			return false
 		}

@@ -194,8 +194,3 @@ func Parse(r io.Reader) (*Array, error) {
 	}
 	return a, nil
 }
-
-// ParseString is Parse over an in-memory string.
-func ParseString(s string) (*Array, error) {
-	return Parse(strings.NewReader(s))
-}

@@ -134,15 +134,6 @@ func (m *Model) SetObj(v VarID, obj float64) {
 	m.vars[v].obj = obj
 }
 
-// NumVars returns the variable count.
-func (m *Model) NumVars() int { return len(m.vars) }
-
-// NumCons returns the constraint count.
-func (m *Model) NumCons() int { return len(m.cons) }
-
-// Name returns the name of variable v.
-func (m *Model) Name(v VarID) string { return m.vars[v].name }
-
 // AddCons adds the constraint sum(coef[k] * idx[k]) sense rhs. Duplicate
 // indices accumulate.
 func (m *Model) AddCons(idx []VarID, coef []float64, sense lp.Sense, rhs float64) {
@@ -163,44 +154,6 @@ func (m *Model) AddCons(idx []VarID, coef []float64, sense lp.Sense, rhs float64
 }
 
 const intTol = 1e-6
-
-// Check verifies that x satisfies every constraint, bound, and integrality
-// requirement of the model; it returns a descriptive error on the first
-// violation. Used by tests and by the rounding heuristic.
-func (m *Model) Check(x []float64) error {
-	if len(x) != len(m.vars) {
-		return fmt.Errorf("ilp: solution length %d, want %d", len(x), len(m.vars))
-	}
-	for j, v := range m.vars {
-		if x[j] < v.lb-1e-6 || x[j] > v.ub+1e-6 {
-			return fmt.Errorf("ilp: var %s=%v outside [%v,%v]", v.name, x[j], v.lb, v.ub)
-		}
-		if v.integer && math.Abs(x[j]-math.Round(x[j])) > intTol {
-			return fmt.Errorf("ilp: var %s=%v not integral", v.name, x[j])
-		}
-	}
-	for i, c := range m.cons {
-		dot := 0.0
-		for k, v := range c.idx {
-			dot += c.coef[k] * x[v]
-		}
-		switch c.sense {
-		case lp.LE:
-			if dot > c.rhs+1e-5 {
-				return fmt.Errorf("ilp: row %d: %v <= %v violated", i, dot, c.rhs)
-			}
-		case lp.GE:
-			if dot < c.rhs-1e-5 {
-				return fmt.Errorf("ilp: row %d: %v >= %v violated", i, dot, c.rhs)
-			}
-		case lp.EQ:
-			if math.Abs(dot-c.rhs) > 1e-5 {
-				return fmt.Errorf("ilp: row %d: %v = %v violated", i, dot, c.rhs)
-			}
-		}
-	}
-	return nil
-}
 
 // Objective evaluates the model objective at x.
 func (m *Model) Objective(x []float64) float64 {
@@ -259,7 +212,9 @@ func (m *Model) tryRoundInto(dst, x []float64) bool {
 	return m.feasible(dst)
 }
 
-// feasible mirrors Check without constructing errors.
+// feasible reports whether x satisfies every bound, integrality
+// requirement and constraint of the model (len(x) must be the variable
+// count).
 func (m *Model) feasible(x []float64) bool {
 	for j, v := range m.vars {
 		if x[j] < v.lb-1e-6 || x[j] > v.ub+1e-6 {

@@ -27,8 +27,8 @@ func TestKnapsack(t *testing.T) {
 	if !approx(s.Obj, -20) {
 		t.Errorf("obj %v, want -20", s.Obj)
 	}
-	if err := m.Check(s.X); err != nil {
-		t.Error(err)
+	if !m.feasible(s.X) {
+		t.Errorf("optimum %v violates the model", s.X)
 	}
 }
 
@@ -202,32 +202,37 @@ func TestNodeLimit(t *testing.T) {
 	if full.Status != Optimal {
 		t.Fatalf("full solve %v", full.Status)
 	}
-	if err := m.Check(full.X); err != nil {
-		t.Error(err)
+	if !m.feasible(full.X) {
+		t.Errorf("optimum %v violates the model", full.X)
 	}
 }
 
+// TestCheckRejects pins the feasibility check that validates rounded
+// branch-and-bound points: bounds, integrality and each row sense.
 func TestCheckRejects(t *testing.T) {
 	var m Model
 	x := m.AddVar(0, 1, 0, true, "x")
 	m.AddCons([]VarID{x}, []float64{1}, lp.LE, 1)
-	if err := m.Check([]float64{0.5}); err == nil {
+	if !m.feasible([]float64{1}) {
+		t.Error("feasible point rejected")
+	}
+	if m.feasible([]float64{0.5}) {
 		t.Error("fractional accepted")
 	}
-	if err := m.Check([]float64{2}); err == nil {
+	if m.feasible([]float64{2}) {
 		t.Error("out of bounds accepted")
-	}
-	if err := m.Check([]float64{1, 2}); err == nil {
-		t.Error("wrong length accepted")
 	}
 	var m2 Model
 	a := m2.AddVar(0, 5, 0, false, "a")
 	m2.AddCons([]VarID{a}, []float64{1}, lp.GE, 3)
 	m2.AddCons([]VarID{a}, []float64{1}, lp.EQ, 4)
-	if err := m2.Check([]float64{2}); err == nil {
+	if !m2.feasible([]float64{4}) {
+		t.Error("feasible point rejected")
+	}
+	if m2.feasible([]float64{2}) {
 		t.Error("GE violation accepted")
 	}
-	if err := m2.Check([]float64{3.5}); err == nil {
+	if m2.feasible([]float64{3.5}) {
 		t.Error("EQ violation accepted")
 	}
 }

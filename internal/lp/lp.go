@@ -121,12 +121,6 @@ func NewProblem(n int) *Problem {
 	return p
 }
 
-// N returns the structural variable count.
-func (p *Problem) N() int { return p.n }
-
-// M returns the row count.
-func (p *Problem) M() int { return len(p.rows) }
-
 // SetObj sets the objective coefficient of variable j (minimization).
 func (p *Problem) SetObj(j int, v float64) {
 	p.c[j] = v
@@ -139,21 +133,6 @@ func (p *Problem) SetBounds(j int, lb, ub float64) {
 		panic(fmt.Sprintf("lp: var %d bounds [%v,%v] invalid", j, lb, ub))
 	}
 	p.lb[j], p.ub[j] = lb, ub
-}
-
-// Bounds returns the bounds of variable j.
-func (p *Problem) Bounds(j int) (lb, ub float64) { return p.lb[j], p.ub[j] }
-
-// AddRow appends a constraint given as a dense coefficient slice of length
-// N(). The slice is copied.
-func (p *Problem) AddRow(coef []float64, s Sense, rhs float64) int {
-	if len(coef) != p.n {
-		panic(fmt.Sprintf("lp: row width %d, want %d", len(coef), p.n))
-	}
-	p.rows = append(p.rows, append([]float64(nil), coef...))
-	p.senses = append(p.senses, s)
-	p.b = append(p.b, rhs)
-	return len(p.rows) - 1
 }
 
 // AddSparseRow appends a constraint given as (index, coefficient) pairs.
@@ -174,30 +153,7 @@ func (p *Problem) AddSparseRow(idx []int, coef []float64, s Sense, rhs float64) 
 	return len(p.rows) - 1
 }
 
-// Solution is the result of a solve.
-type Solution struct {
-	Status Status
-	X      []float64 // length N(); valid when Status == Optimal
-	Obj    float64
-	Iters  int
-	// R holds the structural reduced costs at the optimum (length N());
-	// valid when Status == Optimal. Nonbasic-at-lower variables have R >= 0,
-	// nonbasic-at-upper have R <= 0. Used for reduced-cost bound tightening.
-	R []float64
-	// Basis is a snapshot of the optimal basis, reusable as a warm start for
-	// a re-solve of the same problem shape under different bounds or
-	// objective; valid when Status == Optimal.
-	Basis *Basis
-}
-
 const (
 	eps     = 1e-9
 	feasEps = 1e-7
 )
-
-// Solve runs the simplex cold (phase 1 feasibility repair, then the true
-// objective). maxIters <= 0 selects an automatic budget proportional to the
-// problem size.
-func (p *Problem) Solve(maxIters int) Solution {
-	return NewSolver(p).Solve(nil, nil, nil, maxIters)
-}

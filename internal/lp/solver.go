@@ -19,14 +19,6 @@ type Basis struct {
 	status []int8
 }
 
-// Clone returns an independent copy.
-func (bs *Basis) Clone() *Basis {
-	if bs == nil {
-		return nil
-	}
-	return &Basis{status: append([]int8(nil), bs.status...)}
-}
-
 // Status exposes the per-column basis states (structural columns first,
 // then one slack per row). The slice must not be modified; it is the raw
 // form consumed by Solver.SolveView warm starts.
@@ -207,26 +199,13 @@ func (s *Solver) val(j int) float64 {
 
 func (s *Solver) fixed(j int) bool { return s.lb[j] == s.ub[j] }
 
-// Solve runs the simplex and returns an independently allocated Solution.
-// lb/ub override the problem's structural bounds when non-nil (length N());
-// warm, when non-nil, is refactorized as the starting basis. maxIters <= 0
-// selects an automatic budget. The solve is deterministic: a pure function
-// of (problem, bounds, warm, maxIters).
-func (s *Solver) Solve(lb, ub []float64, warm *Basis, maxIters int) Solution {
-	v := s.SolveView(lb, ub, warm.Status(), maxIters)
-	sol := Solution{Status: v.Status, Obj: v.Obj, Iters: v.Iters}
-	if v.Status == Optimal {
-		sol.X = append([]float64(nil), v.X...)
-		sol.R = append([]float64(nil), v.R...)
-		sol.Basis = &Basis{status: append([]int8(nil), v.Basis...)}
-	}
-	return sol
-}
-
-// SolveView is the allocation-free core of Solve: the returned slices alias
-// solver scratch and are valid only until the next call. warm, when
-// non-nil, is a per-column status snapshot (View.Basis / Basis.Status) of a
-// previous same-shape solve.
+// SolveView runs the simplex without allocating: the returned slices alias
+// solver scratch and are valid only until the next call. lb/ub override
+// the problem's structural bounds when non-nil (one entry per variable);
+// warm, when non-nil, is a per-column status snapshot (View.Basis /
+// Basis.Status) of a previous same-shape solve, refactorized as the
+// starting basis. maxIters <= 0 selects an automatic budget. The solve is
+// deterministic: a pure function of (problem, bounds, warm, maxIters).
 //
 //fpva:allocfree
 func (s *Solver) SolveView(lb, ub []float64, warm []int8, maxIters int) View {

@@ -24,12 +24,12 @@ import (
 // every compiled vector, bit-packed by fault set.
 //
 // Row r = vec*Sinks()+sink is a bitset over fault sets: bit k of word w of
-// row r (rows[r*WordsPerRow()+w]) is sink `sink`'s reading under vector
-// `vec` for fault set w*64+k. Padding bits past Sets() are zero.
+// row r (rows[r*wordsPerRow+w]) is sink `sink`'s reading under vector
+// `vec` for fault set w*64+k. Padding bits past the last set are zero.
 type ResponseMatrix struct {
-	nVec, nSink, nSets int
-	wordsPerRow        int
-	rows               []uint64
+	nVec, nSink int
+	wordsPerRow int
+	rows        []uint64
 }
 
 func newResponseMatrix(cv *CompiledVectors, nSets int) *ResponseMatrix {
@@ -38,7 +38,6 @@ func newResponseMatrix(cv *CompiledVectors, nSets int) *ResponseMatrix {
 	return &ResponseMatrix{
 		nVec:        len(cv.vecs),
 		nSink:       nSink,
-		nSets:       nSets,
 		wordsPerRow: wpr,
 		rows:        make([]uint64, len(cv.vecs)*nSink*wpr),
 	}
@@ -49,12 +48,6 @@ func (m *ResponseMatrix) Vectors() int { return m.nVec }
 
 // Sinks returns the number of sinks per vector.
 func (m *ResponseMatrix) Sinks() int { return m.nSink }
-
-// Sets returns the number of fault sets (the bit-packed dimension).
-func (m *ResponseMatrix) Sets() int { return m.nSets }
-
-// WordsPerRow returns the number of uint64 words per (vector, sink) row.
-func (m *ResponseMatrix) WordsPerRow() int { return m.wordsPerRow }
 
 // Row returns the bitset of readings of (vec, sink) over all fault sets.
 // The slice aliases the matrix and must not be modified.
@@ -72,23 +65,6 @@ func (m *ResponseMatrix) Row(vec, sink int) []uint64 {
 func (m *ResponseMatrix) Reading(set, vec, sink int) bool {
 	r := (vec*m.nSink + sink) * m.wordsPerRow
 	return m.rows[r+set>>6]>>(uint(set)&63)&1 != 0
-}
-
-// SameSignature reports whether fault sets a and b have identical readings
-// on every (vector, sink) — i.e. no vector in the compiled set can ever
-// tell them apart.
-//
-//fpva:allocfree
-func (m *ResponseMatrix) SameSignature(a, b int) bool {
-	wa, ba := a>>6, uint(a)&63
-	wb, bb := b>>6, uint(b)&63
-	for r := 0; r < m.nVec*m.nSink; r++ {
-		row := m.rows[r*m.wordsPerRow:]
-		if row[wa]>>ba&1 != row[wb]>>bb&1 {
-			return false
-		}
-	}
-	return true
 }
 
 // Responses evaluates every fault set against every compiled vector and

@@ -83,11 +83,6 @@ func (v *Vector) OpenValves() []grid.ValveID {
 	return out
 }
 
-// Clone deep-copies the vector.
-func (v *Vector) Clone() *Vector {
-	return &Vector{Name: v.Name, Kind: v.Kind, open: append([]bool(nil), v.open...)}
-}
-
 // FaultKind enumerates the component-level fault models.
 type FaultKind uint8
 
@@ -249,9 +244,6 @@ func MustNew(a *grid.Array) *Simulator {
 
 // Array returns the array under simulation.
 func (s *Simulator) Array() *grid.Array { return s.arr }
-
-// SinkNames returns the pressure-meter names in reading order.
-func (s *Simulator) SinkNames() []string { return s.sinkNames }
 
 // effIntoBase writes the fault-free physical state of every edge under a
 // command vector into eff (len = NumValves).
@@ -473,17 +465,4 @@ func (s *Simulator) VerifyCutVector(vec *Vector) error {
 		}
 	}
 	return nil
-}
-
-// SortFaults orders faults deterministically for golden tests and logs.
-func SortFaults(fs []Fault) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Kind != fs[j].Kind {
-			return fs[i].Kind < fs[j].Kind
-		}
-		if fs[i].A != fs[j].A {
-			return fs[i].A < fs[j].A
-		}
-		return fs[i].B < fs[j].B
-	})
 }

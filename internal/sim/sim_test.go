@@ -105,7 +105,7 @@ func TestControlLeak(t *testing.T) {
 		t.Error("control leak should close the on-path partner")
 	}
 	// If both partners are commanded open, the leak is dormant.
-	both := vec.Clone()
+	both := lPath(a)
 	both.SetOpen(offPath, true)
 	if got := s.Readings(both, f); !got[0] {
 		t.Error("leak with both partners open must be dormant")
@@ -169,7 +169,7 @@ func TestMultipleSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := MustNew(a)
-	if got := s.SinkNames(); len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
+	if got := s.sinkNames; len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
 		t.Fatalf("sink names %v", got)
 	}
 	vec := NewVector(a, Custom, "top-row")
@@ -304,29 +304,6 @@ func TestAllSingleFaults(t *testing.T) {
 	fs := AllSingleFaults(a)
 	if len(fs) != 2*a.NumNormal() {
 		t.Errorf("%d faults, want %d", len(fs), 2*a.NumNormal())
-	}
-}
-
-func TestSortFaults(t *testing.T) {
-	fs := []Fault{
-		{Kind: StuckAt1, A: 3},
-		{Kind: StuckAt0, A: 9},
-		{Kind: StuckAt0, A: 2},
-		{Kind: ControlLeak, A: 2, B: 5},
-		{Kind: ControlLeak, A: 2, B: 1},
-	}
-	SortFaults(fs)
-	want := []Fault{
-		{Kind: StuckAt0, A: 2},
-		{Kind: StuckAt0, A: 9},
-		{Kind: StuckAt1, A: 3},
-		{Kind: ControlLeak, A: 2, B: 1},
-		{Kind: ControlLeak, A: 2, B: 5},
-	}
-	for i := range want {
-		if fs[i] != want[i] {
-			t.Fatalf("order %v", fs)
-		}
 	}
 }
 
