@@ -414,9 +414,6 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	if h.Workers.Slots == 0 {
 		h.Workers.Slots = s.svc.Workers()
 	}
-	if h.Workers.Executor == "" {
-		h.Workers.Executor = "in-process"
-	}
 	if st.Store.Mode != "" {
 		h.Store = &api.HealthStore{Mode: st.Store.Mode, Reason: st.Store.Reason}
 		if st.Store.Mode == "degraded" {

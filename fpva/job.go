@@ -21,10 +21,6 @@ const (
 	JobDiagnose
 )
 
-// jobKinds lists every kind in declaration order, for deterministic
-// per-kind reporting.
-var jobKinds = []JobKind{JobGenerate, JobCampaign, JobVerify, JobDiagnose}
-
 func (k JobKind) String() string {
 	switch k {
 	case JobGenerate:
@@ -113,6 +109,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    JobState
+	runAt    time.Time // running-transition instant, zero if it never ran
 	doneAt   time.Time // terminal-transition instant, for WithJobTTL expiry
 	cacheHit bool
 	events   []Event
@@ -361,6 +358,7 @@ func (j *Job) setRunning() {
 	j.mu.Lock()
 	if j.state == JobPending {
 		j.state = JobRunning
+		j.runAt = time.Now()
 	}
 	j.mu.Unlock()
 }
@@ -375,25 +373,29 @@ func (j *Job) finish(state JobState, err error) {
 	j.state = state
 	j.err = err
 	j.doneAt = time.Now()
+	var ran time.Duration
+	if !j.runAt.IsZero() {
+		ran = j.doneAt.Sub(j.runAt)
+	}
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; no-op if already canceled
 	// Tally the outcome before waking waiters, so Stats read after Wait
 	// returns counts this job as terminal.
-	j.svc.noteTerminal(j.kind, state)
+	j.svc.noteTerminal(j.kind, state, ran)
 	close(j.done)
 }
 
 // finishPlan completes a generate job successfully. wire, when non-nil,
 // is the plan's v1 encoding (from the solve or the cache), retained so
-// PlanBytes can serve it without re-encoding.
-func (j *Job) finishPlan(p *Plan, wire []byte) {
+// PlanBytes can serve it without re-encoding; hit reports whether the plan
+// came from the memory cache or the disk store.
+func (j *Job) finishPlan(p *Plan, wire []byte, hit bool) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.plan = p
-	j.wire = wire
+	j.plan, j.wire, j.cacheHit = p, wire, hit
 	j.mu.Unlock()
 	j.finish(JobDone, nil)
 }

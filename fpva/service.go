@@ -67,19 +67,19 @@ type Service struct {
 	// counters (guarded by mu)
 	active                  int // non-terminal jobs, for admission control
 	shed                    int // submissions rejected with ErrQueueFull
-	submitted               int
 	hits, misses, coalesced int
 	solves                  int
 	solverWall              time.Duration
-	campaigns               int
-	campaignWall            time.Duration
-	verifies                int
-	diagnoses               int
-	diagnoseWall            time.Duration
 	compileHits             int
 	compileMisses           int
 	sigHits, sigMisses      int
-	byKind                  map[JobKind]*JobKindStats
+	// kinds is the per-kind job accounting, tallied once per job at
+	// submission and at its terminal transition; wall sums the done jobs'
+	// time from running to done.
+	kinds [JobDiagnose + 1]struct {
+		JobKindStats
+		wall time.Duration
+	}
 
 	wg sync.WaitGroup
 }
@@ -244,7 +244,6 @@ func NewService(opts ...ServiceOption) *Service {
 		compiled:      newLRU[*compiled](maxCompiledArtifacts),
 		flights:       make(map[string]*flight),
 		jobs:          make(map[string]*Job),
-		byKind:        make(map[JobKind]*JobKindStats),
 		retain:        cfg.retain,
 		executor:      cfg.executor,
 		solverTimeout: cfg.solverTimeout,
@@ -406,20 +405,20 @@ func (s *Service) Stats() ServiceStats {
 	defer s.mu.Unlock()
 	s.sweepExpiredLocked()
 	st := ServiceStats{
-		JobsSubmitted: s.submitted,
-		JobsShed:      s.shed,
-		CacheHits:     s.hits, CacheMisses: s.misses, CacheCoalesced: s.coalesced,
+		JobsShed:  s.shed,
+		CacheHits: s.hits, CacheMisses: s.misses, CacheCoalesced: s.coalesced,
 		Solves: s.solves, SolverWall: s.solverWall,
-		Campaigns: s.campaigns, CampaignWall: s.campaignWall,
-		Verifies:  s.verifies,
-		Diagnoses: s.diagnoses, DiagnoseWall: s.diagnoseWall,
+		Campaigns: s.kinds[JobCampaign].Done, CampaignWall: s.kinds[JobCampaign].wall,
+		Verifies:  s.kinds[JobVerify].Done,
+		Diagnoses: s.kinds[JobDiagnose].Done, DiagnoseWall: s.kinds[JobDiagnose].wall,
 		SigCacheHits: s.sigHits, SigCacheMisses: s.sigMisses,
 		CompileHits: s.compileHits, CompileMisses: s.compileMisses,
-		Kinds: make(map[string]JobKindStats, len(jobKinds)),
+		Kinds: make(map[string]JobKindStats, len(s.kinds)),
 	}
-	for _, k := range jobKinds {
-		if ks := s.byKind[k]; ks != nil {
-			st.Kinds[k.String()] = *ks
+	for k, ks := range s.kinds {
+		if ks.Submitted > 0 {
+			st.JobsSubmitted += ks.Submitted
+			st.Kinds[JobKind(k).String()] = ks.JobKindStats
 		}
 	}
 	if s.cache != nil {
@@ -566,33 +565,24 @@ func (s *Service) register(kind JobKind, ctx context.Context, progress Progress,
 	j.inPlan = inPlan
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.submitted++
-	s.kindStats(kind).Submitted++
+	s.kinds[kind].Submitted++
 	s.wg.Add(1)
 	return j, nil
 }
 
-// kindStats returns the mutable per-kind counter, creating it on first
-// use. The caller holds s.mu.
-func (s *Service) kindStats(k JobKind) *JobKindStats {
-	ks := s.byKind[k]
-	if ks == nil {
-		ks = &JobKindStats{}
-		s.byKind[k] = ks
-	}
-	return ks
-}
-
-// noteTerminal is called exactly once per job as it turns terminal; it
-// tallies the per-kind outcome, and beyond the retention cap the oldest
-// terminal jobs are dropped from tracking.
-func (s *Service) noteTerminal(kind JobKind, state JobState) {
+// noteTerminal is called exactly once per job as it turns terminal, and
+// is the only place a job's outcome is counted: it tallies the per-kind
+// outcome and adds a done job's running time (ran) to its kind's wall.
+// Beyond the retention cap the oldest terminal jobs are dropped from
+// tracking.
+func (s *Service) noteTerminal(kind JobKind, state JobState, ran time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ks := s.kindStats(kind)
+	ks := &s.kinds[kind]
 	switch state {
 	case JobDone:
 		ks.Done++
+		ks.wall += ran
 	case JobFailed:
 		ks.Failed++
 	case JobCanceled:
@@ -843,16 +833,13 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 		if ent, ok := s.cache.get(key); ok {
 			s.hits++
 			s.mu.Unlock()
-			j.mu.Lock()
-			j.cacheHit = true
-			j.mu.Unlock()
 			j.setRunning()
 			// Replay the events the original solve recorded, so cached and
 			// cold callers observe the same progress sequence.
 			for _, e := range ent.events {
 				j.emit(e)
 			}
-			j.finishPlan(ent.plan, ent.wire)
+			j.finishPlan(ent.plan, ent.wire, true)
 			return
 		}
 	}
@@ -899,12 +886,7 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 		if fl.err != nil {
 			j.finish(j.classifyTerminal(), fl.err)
 		} else {
-			if fl.cached {
-				j.mu.Lock()
-				j.cacheHit = true
-				j.mu.Unlock()
-			}
-			j.finishPlan(fl.plan, fl.wire)
+			j.finishPlan(fl.plan, fl.wire, fl.cached)
 		}
 	case <-j.ctx.Done():
 		s.detach(fl, j)
@@ -1062,7 +1044,8 @@ func (fl *flight) emit(s *Service, e Event) {
 
 // runPlanJob is the goroutine of a campaign, verify or diagnose job: it
 // waits for a worker slot, binds p to the service's compiled entry for its
-// content, and runs body on the bound copy. body records the job's result.
+// content, and runs body on the bound copy. body records the job's result;
+// finish counts the outcome.
 func (s *Service) runPlanJob(j *Job, p *Plan, body func(bp *Plan) error) {
 	defer s.wg.Done()
 	if err := s.acquireSlot(j.ctx); err != nil {
@@ -1071,27 +1054,13 @@ func (s *Service) runPlanJob(j *Job, p *Plan, body func(bp *Plan) error) {
 	}
 	defer s.releaseSlot()
 	j.setRunning()
-	t0 := time.Now()
 	bp, err := s.bind(p)
 	if err == nil {
 		err = body(bp)
 	}
-	wall := time.Since(t0)
 	if err != nil {
 		j.finish(j.classifyTerminal(), err)
 		return
 	}
-	s.mu.Lock()
-	switch j.kind {
-	case JobCampaign:
-		s.campaigns++
-		s.campaignWall += wall
-	case JobVerify:
-		s.verifies++
-	case JobDiagnose:
-		s.diagnoses++
-		s.diagnoseWall += wall
-	}
-	s.mu.Unlock()
 	j.finish(JobDone, nil)
 }
