@@ -188,8 +188,9 @@ func (c genConfig) coreConfig() (core.Config, error) {
 		Hierarchical: !c.direct,
 		BlockSize:    c.blockSize,
 		SkipLeakage:  c.skipLeak,
-		Workers:      c.workers,
 	}
+	coreCfg.FlowPath.ILP.Workers = c.workers
+	coreCfg.CutSet.ILP.Workers = c.workers
 	switch c.pathEngine {
 	case PathEngineAuto:
 		coreCfg.FlowPath.Engine = flowpath.EngineAuto

@@ -62,10 +62,6 @@ type Config struct {
 	// SkipLeakage omits the control-layer leakage vectors (the paper's
 	// optional nl family).
 	SkipLeakage bool
-	// Workers sets the branch-and-bound worker pool for the ILP engines
-	// (results are bit-identical for any value); it fills in the
-	// FlowPath.ILP / CutSet.ILP knobs when those are zero. <= 1 is serial.
-	Workers int
 	// OnPhase, when non-nil, is called synchronously on the Generate
 	// goroutine as each pipeline phase starts (done=false) and finishes
 	// (done=true).
@@ -147,14 +143,6 @@ func Generate(ctx context.Context, a *grid.Array, cfg Config) (*TestSet, error) 
 		fpOpt.StripRows, fpOpt.StripCols = bs, bs
 	}
 	csOpt := cfg.CutSet
-	if cfg.Workers > 1 {
-		if fpOpt.ILP.Workers == 0 {
-			fpOpt.ILP.Workers = cfg.Workers
-		}
-		if csOpt.ILP.Workers == 0 {
-			csOpt.ILP.Workers = cfg.Workers
-		}
-	}
 	ts := &TestSet{Array: a}
 	ts.Stats.NV = a.NumNormal()
 

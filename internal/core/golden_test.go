@@ -11,6 +11,7 @@ import (
 	"repro/internal/cutset"
 	"repro/internal/flowpath"
 	"repro/internal/grid"
+	"repro/internal/ilp"
 )
 
 // goldenPlan is one array's pinned ILP-engine answer in
@@ -64,10 +65,9 @@ func goldenArrays(t *testing.T) (names []string, arrays []*grid.Array) {
 func generateILP(t *testing.T, name string, a *grid.Array, workers int) goldenPlan {
 	t.Helper()
 	ts, err := Generate(context.Background(), a, Config{
-		FlowPath:    flowpath.Options{Engine: flowpath.EngineILPIterative},
-		CutSet:      cutset.Options{Engine: cutset.EngineILP},
+		FlowPath:    flowpath.Options{Engine: flowpath.EngineILPIterative, ILP: ilp.Options{Workers: workers}},
+		CutSet:      cutset.Options{Engine: cutset.EngineILP, ILP: ilp.Options{Workers: workers}},
 		SkipLeakage: true,
-		Workers:     workers,
 	})
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
