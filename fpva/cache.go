@@ -1,7 +1,6 @@
 package fpva
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -19,22 +18,36 @@ import (
 // without WithCacheBytes.
 const DefaultCacheBytes = 64 << 20
 
+// generatorVersion names the generator's output in every plan key. A
+// change that moves any generated vector bumps it, so plans an older
+// generator left in a durable store stop matching.
+const generatorVersion = 1
+
 // planKey derives the canonical cache key of a (array, generation config)
-// pair: the SHA-256 of the array's v1 wire encoding plus the fingerprint of
-// every option that can change the generated vectors. Worker counts and
-// progress callbacks are deliberately excluded — results are bit-identical
-// across worker counts, so they must share a cache entry.
-func planKey(a *Array, cfg genConfig) (string, error) {
-	var buf bytes.Buffer
-	if err := EncodeArray(&buf, a); err != nil {
-		return "", err
-	}
+// pair: the SHA-256 of the array's text and ports in attachment order
+// (appendArray), the generator and codec versions, and every option that
+// can change the generated vectors. Worker counts and progress callbacks
+// are deliberately excluded — results are bit-identical across worker
+// counts, so they must share a cache entry.
+func planKey(a *Array, cfg genConfig) string {
 	h := sha256.New()
-	h.Write(buf.Bytes())
-	fmt.Fprintf(h, "\x00direct=%t block=%d skipLeak=%t path=%d cut=%d v=%d",
+	h.Write(appendArray(nil, grid.Marshal(a.g), a.g))
+	fmt.Fprintf(h, "\x00direct=%t block=%d skipLeak=%t path=%d cut=%d v=%d gen=%d",
 		cfg.direct, cfg.blockSize, cfg.skipLeak,
-		int(cfg.pathEngine), int(cfg.cutEngine), CodecVersion)
-	return hex.EncodeToString(h.Sum(nil)), nil
+		int(cfg.pathEngine), int(cfg.cutEngine), CodecVersion, generatorVersion)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendArray packs an array's text and then its ports in attachment
+// order, each with its source flag: the simulator reads its sinks in that
+// order, and the text does not carry it.
+func appendArray(b []byte, text string, g *grid.Array) []byte {
+	b = append(b, text...)
+	b = binary.AppendUvarint(b, uint64(len(g.Ports())))
+	for _, pt := range g.Ports() {
+		b = strconv.AppendBool(binary.AppendUvarint(b, uint64(pt.Valve)), pt.Source)
+	}
+	return b
 }
 
 // cacheEntry is one cached plan together with its v1 wire encoding — the
@@ -84,10 +97,8 @@ func (e *compiled) cost() int64 {
 
 // compiledKey is the content address of a plan's compiled state: the
 // SHA-256 of one buffer packing everything the compile and the signature
-// tables read. That is the array text, the ports in attachment order (the
-// simulator reads its sinks in that order, and the text does not carry
-// it), every vector's open states as bits in plan order, and the leak
-// pairs. Vector names and kinds, timings and worker counts change no
+// tables read. That is the array text and ports (appendArray), every
+// vector's open states as bits in plan order, and the leak pairs. Vector names and kinds, timings and worker counts change no
 // compiled artifact and are left out, so a generated plan and its decoded
 // copy share a key whenever their ports are in scan order.
 func compiledKey(p *Plan) string {
@@ -95,11 +106,7 @@ func compiledKey(p *Plan) string {
 	nv, vecs := g.NumValves(), ts.AllVectors()
 	text := grid.Marshal(g)
 	b := make([]byte, 0, len(text)+8*len(g.Ports())+len(vecs)*(nv+7)/8+8*len(ts.LeakPairs)+16)
-	b = append(b, text...)
-	b = binary.AppendUvarint(b, uint64(len(g.Ports())))
-	for _, pt := range g.Ports() {
-		b = strconv.AppendBool(binary.AppendUvarint(b, uint64(pt.Valve)), pt.Source)
-	}
+	b = appendArray(b, text, g)
 	b = binary.AppendUvarint(b, uint64(len(vecs)))
 	for _, v := range vecs {
 		n := len(b)

@@ -2,6 +2,7 @@ package fpva
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +51,43 @@ func TestCompiledKey(t *testing.T) {
 	v.SetOpen(id, !v.Open(id))
 	if compiledKey(q) == key {
 		t.Fatal("a changed vector kept the compiled key")
+	}
+}
+
+// sinkNames lists the array's sinks in attachment order, the order its
+// simulator reads them in.
+func sinkNames(a *Array) []string {
+	var out []string
+	for _, pt := range a.g.Ports() {
+		if !pt.Source {
+			out = append(out, pt.Name)
+		}
+	}
+	return out
+}
+
+// TestPlanKeyPortOrder: two arrays that differ only in which sink attaches
+// first have the same text, but not the same plan. Each generate job must
+// return a plan whose sinks read in its own array's order.
+func TestPlanKeyPortOrder(t *testing.T) {
+	svc := NewService()
+	defer svc.Close()
+	src, x, y := WithSource("in", H(0, 0)), WithSink("x", H(3, 4)), WithSink("y", V(4, 1))
+	for _, ports := range [][]ArrayOption{{src, x, y}, {src, y, x}} {
+		a, err := NewArray(4, 4, ports...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := generateOn(t, svc, a).Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sinkNames(p.Array()), sinkNames(a); !slices.Equal(got, want) {
+			t.Errorf("array with sinks %v got a plan whose sinks read %v", want, got)
+		}
+	}
+	if st := svc.Stats(); st.Solves != 2 {
+		t.Errorf("two port orders cost %d solves, want 2", st.Solves)
 	}
 }
 

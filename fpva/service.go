@@ -642,15 +642,11 @@ func (s *Service) SubmitGenerate(ctx context.Context, a *Array, opts ...GenOptio
 	if _, err := cfg.coreConfig(); err != nil {
 		return nil, err
 	}
-	key, err := planKey(a, cfg)
-	if err != nil {
-		return nil, err
-	}
 	j, err := s.register(JobGenerate, ctx, cfg.progress, nil)
 	if err != nil {
 		return nil, err
 	}
-	go s.runGenerate(j, a, cfg, key)
+	go s.runGenerate(j, a, cfg, planKey(a, cfg))
 	return j, nil
 }
 
