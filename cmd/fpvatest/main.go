@@ -230,10 +230,10 @@ func reportPlan(w io.Writer, plan *fpva.Plan) {
 		fmt.Fprintf(w, "WARNING: stuck-at-1 untestable valves: %v\n", uncov)
 	}
 	if n := s.PathILPNonOptimal; n > 0 {
-		fmt.Fprintf(w, "WARNING: %d flow-path ILP solve(s) hit the node budget; paths accepted are feasible, not proven optimal\n", n)
+		fmt.Fprintf(w, "WARNING: %d flow-path ILP solve(s) stopped incomplete (node budget or LP iteration cap); paths accepted are feasible, not proven optimal\n", n)
 	}
 	if n := s.CutILPNonOptimal; n > 0 {
-		fmt.Fprintf(w, "WARNING: %d cut-set ILP solve(s) hit the node budget; cuts accepted are feasible, not proven optimal\n", n)
+		fmt.Fprintf(w, "WARNING: %d cut-set ILP solve(s) stopped incomplete (node budget or LP iteration cap); cuts accepted are feasible, not proven optimal\n", n)
 	}
 }
 

@@ -161,9 +161,9 @@ type Stats struct {
 	N          int           // total vectors
 	TP, TC, TL time.Duration // generation times per family
 	T          time.Duration // total generation time
-	// PathILPNonOptimal / CutILPNonOptimal count ILP solves that hit the
-	// node budget: the accepted paths/cuts are feasible but not proven
-	// optimal. Zero when the exact engines finished (or were not used).
+	// PathILPNonOptimal / CutILPNonOptimal count ILP solves cut short by the
+	// node budget or a node's LP iteration cap: the accepted paths/cuts are
+	// feasible, not proven optimal. Zero when the exact engines finished.
 	PathILPNonOptimal, CutILPNonOptimal int
 	// ILPSolves / ILPNodes / SolverWall aggregate the branch-and-bound
 	// accounting across both ILP engines (zero when the combinatorial

@@ -26,13 +26,14 @@ type Status int
 const (
 	// Optimal means a provably optimal integer solution was found.
 	Optimal Status = iota
-	// Feasible means the node budget ran out but an incumbent exists.
+	// Feasible means the search stopped incomplete (the node budget ran
+	// out, or a node's LP hit its iteration cap) with an incumbent.
 	Feasible
 	// Infeasible means no integer solution exists.
 	Infeasible
 	// Unbounded means the relaxation is unbounded.
 	Unbounded
-	// Limit means the node budget ran out with no incumbent.
+	// Limit means the search stopped incomplete with no incumbent.
 	Limit
 	// Canceled means the solve context was cancelled before the search
 	// finished; callers should surface ctx.Err().

@@ -37,7 +37,7 @@ type Options struct {
 	// serial. Status, Obj and X are bit-identical for any worker count
 	// whenever the search completes (Status Optimal, Infeasible or
 	// Unbounded); Nodes is schedule-dependent accounting, and only
-	// budget-exhausted (Feasible/Limit) results may depend on scheduling.
+	// incomplete (Feasible/Limit) results may depend on scheduling.
 	Workers int
 	// WarmStart seeds the root relaxation with a basis from a previous
 	// solve of a same-shape model; ignored when the shape differs.
