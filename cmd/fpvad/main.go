@@ -196,7 +196,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&opt.cacheDirMB, "cache-dir-mb", opt.cacheDirMB, "on-disk plan-store byte budget in MiB")
 	fs.StringVar(&opt.pprofAddr, "pprof-addr", opt.pprofAddr, "serve net/http/pprof on this loopback address (empty = disabled)")
 	fs.StringVar(&opt.solverExecName, "solver-exec", opt.solverExecName, "solver executor: in-process or subprocess")
-	fs.IntVar(&opt.solverWorkers, "solver-workers", opt.solverWorkers, "subprocess-mode worker pool size (0 = the -workers value)")
+	fs.IntVar(&opt.solverWorkers, "solver-workers", opt.solverWorkers, "subprocess-mode worker pool size (0 = the -workers value); the request field generate.solverWorkers sets branch-and-bound workers instead")
 	fs.StringVar(&opt.workerBin, "solver-worker-bin", opt.workerBin, "solver worker binary (empty = fpvaworker next to fpvad, then PATH)")
 	fs.IntVar(&opt.workerMemMB, "worker-mem-mb", opt.workerMemMB, "per-worker soft memory ceiling in MiB, hard RSS kill at twice that (0 = unlimited)")
 	fs.DurationVar(&opt.solverTimeout, "solver-timeout", opt.solverTimeout, "per-solve deadline, e.g. 5m (0 = none)")

@@ -27,8 +27,10 @@ type SubmitRequest struct {
 	Diagnose *DiagnoseParams `json:"diagnose,omitempty"`
 }
 
-// GenerateParams tunes a generate job. fpvad caps SolverWorkers at its
-// GOMAXPROCS.
+// GenerateParams tunes a generate job. SolverWorkers sets the
+// branch-and-bound workers of the job's solve, capped at fpvad's
+// GOMAXPROCS; fpvad's -solver-workers flag and solverWorkers config key
+// size the subprocess pool instead.
 type GenerateParams struct {
 	Direct        bool   `json:"direct,omitempty"`
 	Block         int    `json:"block,omitempty"`
