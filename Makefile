@@ -110,7 +110,9 @@ smoke-daemon:
 
 # Fault-injection suite under the race detector: the durable plan
 # store's crash/corruption/EIO tests (including the kill -9 child-
-# process rounds), the service-level store and admission tests,
+# process rounds), the service-level store and admission tests, the
+# job service under seeded random interleavings of submit, cancel,
+# forget and wait at 1, 2 and 4 processors (a new seed per run),
 # repeated bursts of campaign, verify and diagnose jobs racing to build
 # and extend one shared compiled entry, the block sweep's workers
 # claiming blocks against the scalar oracle at 1, 2 and 4 processors,
@@ -119,6 +121,7 @@ smoke-daemon:
 chaos:
 	$(GO) test -race -count 2 ./internal/store
 	$(GO) test -race -run 'TestCacheDir|TestStoreDegraded|TestMaxPending|TestJobTimeout' ./fpva
+	$(GO) test -race -count 10 -cpu 1,2,4 -run TestServiceInterleavings ./fpva
 	$(GO) test -race -count 10 -run 'TestSharedCompileBurst' ./fpva
 	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestCampaignEngineDifferential|TestDetectsBatchMatchesScalarRandomized|TestCampaignOnTrialsFinalCall' ./internal/sim
 	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestWorkersBitIdentical|TestParallelMatchesSerialOnKnapsack|TestILPGolden' ./internal/ilp
