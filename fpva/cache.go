@@ -98,9 +98,10 @@ func (e *compiled) cost() int64 {
 // compiledKey is the content address of a plan's compiled state: the
 // SHA-256 of one buffer packing everything the compile and the signature
 // tables read. That is the array text and ports (appendArray), every
-// vector's open states as bits in plan order, and the leak pairs. Vector names and kinds, timings and worker counts change no
-// compiled artifact and are left out, so a generated plan and its decoded
-// copy share a key whenever their ports are in scan order.
+// vector's open states as bits in plan order, and the leak pairs. Vector
+// names and kinds, timings and worker counts change no compiled artifact
+// and are left out, so a generated plan and its decoded copy share a key
+// whenever their ports are in scan order.
 func compiledKey(p *Plan) string {
 	g, ts := p.a.g, p.ts
 	nv, vecs := g.NumValves(), ts.AllVectors()
