@@ -16,6 +16,8 @@ package repro
 //	BenchmarkCompile_*        the compiled vector set campaign, verify and
 //	                          diagnose jobs share (TestSet.Compile)
 //	BenchmarkService_Verify_* a verify job through the service, warm entry
+//	BenchmarkService_GenerateHit_*  a generate job served from the plan
+//	                          cache: the wire bytes, or the decoded plan
 //
 // Vector counts and detection rates are attached as custom metrics so the
 // numbers the paper reports appear directly in the benchmark output.
@@ -565,6 +567,53 @@ func BenchmarkService_Verify_15x15(b *testing.B) {
 	b.StopTimer()
 	if st := svc.Stats(); st.CompileMisses != 1 {
 		b.Fatalf("%d compiles, want the warm-up's 1", st.CompileMisses)
+	}
+}
+
+// BenchmarkService_GenerateHit_15x15 times a generate job that the plan
+// cache serves, on the 15x15 Table I array: submit, Wait, fetch, Forget.
+// PlanBytes fetches the cached wire bytes as they are, as fpvad's /result
+// does; Plan decodes them onto the caller's array, as a library caller
+// of fpva.Generate pays on every hit.
+func BenchmarkService_GenerateHit_15x15(b *testing.B) {
+	a, err := fpva.BenchmarkArray("15x15")
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := fpva.NewService(fpva.WithServiceWorkers(1))
+	defer svc.Close()
+	ctx := context.Background()
+	generate := func(fetch func(*fpva.Job) error) {
+		j, err := svc.SubmitGenerate(ctx, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := fetch(j); err != nil {
+			b.Fatal(err)
+		}
+		svc.Forget(j.ID())
+	}
+	planBytes := func(j *fpva.Job) error { _, err := j.PlanBytes(); return err }
+	generate(planBytes) // the solve that fills the cache
+	for _, bc := range []struct {
+		name  string
+		fetch func(*fpva.Job) error
+	}{
+		{"PlanBytes", planBytes},
+		{"Plan", func(j *fpva.Job) error { _, err := j.Plan(); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				generate(bc.fetch)
+			}
+		})
+	}
+	if st := svc.Stats(); st.Solves != 1 {
+		b.Fatalf("%d solves, want the warm-up's 1", st.Solves)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/cutset"
 	"repro/internal/diagnose"
+	"repro/internal/flowpath"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -50,16 +52,26 @@ func appendArray(b []byte, text string, g *grid.Array) []byte {
 	return b
 }
 
-// cacheEntry is one cached plan together with its v1 wire encoding — the
+// cacheEntry is one cached plan, held once, as its v1 wire encoding: the
 // exact bytes fpvad serves from /plan, encoded once when the solve
-// finished — and the progress events the solve emitted, replayed on every
-// hit so cached and cold callers observe the same sequence. The plan
-// cache charges it the wire length, so the byte budget measures real
-// payload, not Go object overhead.
+// finished. Beside them it keeps the progress events the solve emitted,
+// replayed on every hit so cached and cold callers observe the same
+// sequence, and, for a plan solved in this process, the path and cut
+// geometry the wire format does not carry. A hit serves the bytes as they
+// are; Job.Plan decodes them onto the caller's array on first use. The
+// plan cache charges an entry its wire length, so the byte budget
+// measures real payload, not Go object overhead.
 type cacheEntry struct {
-	plan   *Plan
 	wire   []byte
 	events []Event
+	geom   *geometry // nil for store read-backs and subprocess solves
+}
+
+// geometry is the path and cut geometry of a plan solved in this process,
+// shared read-only by every plan decoded from the same entry.
+type geometry struct {
+	paths []*flowpath.Path
+	cuts  []*cutset.Cut
 }
 
 // maxCompiledArtifacts bounds the service's compiled cache. An entry

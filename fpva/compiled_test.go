@@ -54,18 +54,6 @@ func TestCompiledKey(t *testing.T) {
 	}
 }
 
-// sinkNames lists the array's sinks in attachment order, the order its
-// simulator reads them in.
-func sinkNames(a *Array) []string {
-	var out []string
-	for _, pt := range a.g.Ports() {
-		if !pt.Source {
-			out = append(out, pt.Name)
-		}
-	}
-	return out
-}
-
 // TestPlanKeyPortOrder: two arrays that differ only in which sink attaches
 // first have the same text, but not the same plan. Each generate job must
 // return a plan whose sinks read in its own array's order.
@@ -82,7 +70,7 @@ func TestPlanKeyPortOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := sinkNames(p.Array()), sinkNames(a); !slices.Equal(got, want) {
+		if got, want := sinkPorts(p.Array()), sinkPorts(a); !slices.Equal(got, want) {
 			t.Errorf("array with sinks %v got a plan whose sinks read %v", want, got)
 		}
 	}
@@ -121,6 +109,44 @@ func TestServiceLeavesPlanUncompiled(t *testing.T) {
 	}
 	if st := svc.Stats(); st.CompileMisses != 1 || st.CompileHits != 2 {
 		t.Errorf("CompileMisses=%d CompileHits=%d, want 1 and 2", st.CompileMisses, st.CompileHits)
+	}
+}
+
+// TestGenerateHitUnpinned: a campaign on a generated plan compiles onto
+// that plan alone. The plan cache holds wire bytes, so a later hit on the
+// same array gets a plan of its own with nothing compiled, and the cache
+// cannot pin the compiled vectors outside its byte budget.
+func TestGenerateHitUnpinned(t *testing.T) {
+	ctx := context.Background()
+	a, err := NewArray(5, 3, WithObstacle(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Generate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Campaign(ctx, WithTrials(100)); err != nil {
+		t.Fatal(err)
+	}
+	first.mu.Lock()
+	compiledFirst := first.compiled != nil
+	first.mu.Unlock()
+	if !compiledFirst {
+		t.Fatal("the campaign left its plan uncompiled")
+	}
+	second, err := Generate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Fatal("a repeat Generate returned the plan a campaign compiled onto")
+	}
+	second.mu.Lock()
+	held := second.compiled
+	second.mu.Unlock()
+	if held != nil {
+		t.Fatal("a repeat Generate returned a plan with compiled state")
 	}
 }
 

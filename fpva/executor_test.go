@@ -224,6 +224,22 @@ func TestSubprocessCacheAndSingleflight(t *testing.T) {
 	}
 }
 
+// TestSubprocessPortBinding: a worker answers with wire bytes, which carry
+// neither port names nor attachment order, yet the job's plan sits on the
+// caller's array, and so does a renamed memory hit's, with the solve's
+// vectors.
+func TestSubprocessPortBinding(t *testing.T) {
+	sub := newSubprocessService(t, "solve")
+	solveArr, hitArr := portedArray(t, "y", "x"), portedArray(t, "p", "q")
+	j := generateOn(t, sub, solveArr)
+	solved, err := j.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPortBinding(t, "subprocess solve", j, solveArr, solved)
+	checkPortBinding(t, "memory hit", generateOn(t, sub, hitArr), hitArr, solved)
+}
+
 // TestSubprocessKill9FailsExactlyOneJob is the crash-isolation acceptance
 // check: SIGKILLing the worker mid-solve fails that job and only that
 // job; the service keeps serving and the next solve runs on a restarted

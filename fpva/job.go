@@ -115,8 +115,10 @@ type Job struct {
 	events   []Event
 	notify   chan struct{} // closed and replaced on every append
 	err      error
-	plan     *Plan  // generate result
-	wire     []byte // v1 wire encoding of plan, when the service had one
+	plan     *Plan     // generate result; a memory hit decodes it on first use
+	wire     []byte    // v1 wire encoding of plan, when the service had one
+	arr      *Array    // what a memory hit decodes onto: the submitter's array
+	geom     *geometry // and the cache entry's geometry, if it kept any
 	camp     CampaignResult
 	verify   VerifyResult
 	diag     *Diagnosis
@@ -238,42 +240,84 @@ func (j *Job) Stream(ctx context.Context) <-chan Event {
 }
 
 // Plan returns the job's plan: the generated plan of a finished
-// JobGenerate, or the input plan of a campaign/verify job (available
-// immediately). It fails with ErrJobRunning on an unfinished generate job
-// and with the job's error on a failed one.
+// JobGenerate, on the array the job was submitted with, or the input plan
+// of a campaign/verify job (available immediately). It fails with
+// ErrJobRunning on an unfinished generate job and with the job's error on
+// a failed one. A job served from the memory cache holds only the plan's
+// wire bytes: its first Plan call decodes them, and fails if they no
+// longer decode. Every call returns the same plan.
 func (j *Job) Plan() (*Plan, error) {
 	if j.kind != JobGenerate {
 		return j.inPlan, nil
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case !j.state.Terminal():
-		return nil, fmt.Errorf("fpva: job %s: %w", j.id, ErrJobRunning)
-	case j.err != nil:
-		return nil, j.err
+	p, err := j.plan, j.planErrLocked()
+	arr, wire, geom := j.arr, j.wire, j.geom
+	j.mu.Unlock()
+	if p != nil || err != nil {
+		return p, err
 	}
-	return j.plan, nil
+	// A memory hit. Decode outside the lock; of two racing first calls,
+	// the first to store its plan wins.
+	if p, err = decodeOn(arr, wire, geom); err != nil {
+		return nil, fmt.Errorf("fpva: job %s: %w", j.id, err)
+	}
+	j.mu.Lock()
+	if j.plan == nil {
+		j.plan = p
+	}
+	p = j.plan
+	j.mu.Unlock()
+	return p, nil
+}
+
+// decodeOn decodes a cached plan onto the array a (see planOn) and
+// attaches the entry's geometry, if it kept any.
+func decodeOn(a *Array, wire []byte, geom *geometry) (*Plan, error) {
+	p, err := decodePlan(wire)
+	if err != nil {
+		return nil, err
+	}
+	p.a, p.ts.Array = a, a.g
+	if geom != nil {
+		p.ts.Paths, p.ts.Cuts, p.geometry = geom.paths, geom.cuts, true
+	}
+	return p, nil
+}
+
+// planErrLocked reports why a generate job has no plan to hand out: it is
+// unfinished, or it failed. The caller holds j.mu.
+func (j *Job) planErrLocked() error {
+	switch {
+	case j.kind != JobGenerate:
+		return nil
+	case !j.state.Terminal():
+		return fmt.Errorf("fpva: job %s: %w", j.id, ErrJobRunning)
+	}
+	return j.err
 }
 
 // PlanBytes returns the job's plan in the v1 wire format. For generate
 // jobs on a caching service these are the exact bytes encoded once when
 // the solve finished (or retrieved from the cache), so serving them — as
-// fpvad's /plan handler does — performs no re-encoding; they are
-// bit-identical to EncodePlan of the same plan. The returned slice is
-// shared and must not be modified. When no cached encoding exists
-// (caching disabled, or a campaign/verify input plan) the plan is encoded
-// on demand.
+// fpvad's /plan handler does — neither re-encodes nor decodes the plan;
+// they are bit-identical to EncodePlan of the same plan. The returned
+// slice is shared and must not be modified. When no cached encoding
+// exists (caching disabled, or a campaign/verify input plan) the plan is
+// encoded on demand.
 func (j *Job) PlanBytes() ([]byte, error) {
-	plan, err := j.Plan()
+	j.mu.Lock()
+	wire, err := j.wire, j.planErrLocked()
+	j.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	wire := j.wire
-	j.mu.Unlock()
 	if wire != nil {
 		return wire, nil
+	}
+	plan, err := j.Plan()
+	if err != nil {
+		return nil, err
 	}
 	enc := encodePlan(plan, true)
 	// Memoize the fallback encoding: the plan is immutable, so later
@@ -385,10 +429,11 @@ func (j *Job) finish(state JobState, err error) {
 	close(j.done)
 }
 
-// finishPlan completes a generate job successfully. wire, when non-nil,
-// is the plan's v1 encoding (from the solve or the cache), retained so
-// PlanBytes can serve it without re-encoding; hit reports whether the plan
-// came from the memory cache or the disk store.
+// finishPlan completes a generate job successfully. p is the plan on the
+// job's own array, or nil for a memory hit, which Plan decodes from wire.
+// wire, when non-nil, is the plan's v1 encoding (from the solve or the
+// cache), retained so PlanBytes can serve it without re-encoding; hit
+// reports whether the plan came from the memory cache or the disk store.
 func (j *Job) finishPlan(p *Plan, wire []byte, hit bool) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -398,6 +443,16 @@ func (j *Job) finishPlan(p *Plan, wire []byte, hit bool) {
 	j.plan, j.wire, j.cacheHit = p, wire, hit
 	j.mu.Unlock()
 	j.finish(JobDone, nil)
+}
+
+// finishHit completes a generate job from a memory-cache entry. The job
+// serves the entry's wire bytes, and its first Plan call decodes them
+// onto a, the caller's array.
+func (j *Job) finishHit(a *Array, ent cacheEntry) {
+	j.mu.Lock()
+	j.arr, j.geom = a, ent.geom
+	j.mu.Unlock()
+	j.finishPlan(nil, ent.wire, true)
 }
 
 // expiredBefore reports whether the job turned terminal before the cutoff

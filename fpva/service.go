@@ -809,7 +809,7 @@ type flight struct {
 	running bool
 
 	done   chan struct{}
-	plan   *Plan
+	plan   *Plan  // solved or decoded; each job gets it on its own array (planOn)
 	wire   []byte // v1 wire encoding of plan (caching services only)
 	cached bool   // served from the disk store, not a fresh solve
 	err    error
@@ -835,7 +835,7 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 			for _, e := range ent.events {
 				j.emit(e)
 			}
-			j.finishPlan(ent.plan, ent.wire, true)
+			j.finishHit(a, ent)
 			return
 		}
 	}
@@ -882,12 +882,26 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 		if fl.err != nil {
 			j.finish(j.classifyTerminal(), fl.err)
 		} else {
-			j.finishPlan(fl.plan, fl.wire, fl.cached)
+			j.finishPlan(planOn(a, fl.plan), fl.wire, fl.cached)
 		}
 	case <-j.ctx.Done():
 		s.detach(fl, j)
 		j.finish(JobCanceled, fmt.Errorf("fpva: generate: %w", j.ctx.Err()))
 	}
+}
+
+// planOn returns p on the array a: p itself when it is a's plan,
+// otherwise a shallow copy that shares p's vectors, geometry and
+// statistics. a has the plan key of p's array, the same text and port
+// valves in the same order, so only port names can differ, and neither
+// the vectors nor the compiled key read them.
+func planOn(a *Array, p *Plan) *Plan {
+	if p.a == a {
+		return p
+	}
+	ts := *p.ts
+	ts.Array = a.g
+	return &Plan{a: a, ts: &ts, geometry: p.geometry}
 }
 
 // detach removes a canceled job from its flight; the last one out cancels
@@ -940,7 +954,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 			if plan, derr := decodePlan(wire); derr == nil {
 				s.mu.Lock()
 				if s.cache != nil {
-					s.cache.put(key, cacheEntry{plan: plan, wire: wire}, int64(len(wire)))
+					s.cache.put(key, cacheEntry{wire: wire}, int64(len(wire)))
 				}
 				s.mu.Unlock()
 				fl.wire = wire
@@ -1013,8 +1027,11 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 	s.solves++
 	s.solverWall += wall
 	if s.cache != nil && fl.wire != nil {
-		s.cache.put(key, cacheEntry{plan: plan, wire: fl.wire, events: append([]Event(nil), fl.events...)},
-			int64(len(fl.wire)))
+		ent := cacheEntry{wire: fl.wire, events: append([]Event(nil), fl.events...)}
+		if plan.geometry {
+			ent.geom = &geometry{paths: plan.ts.Paths, cuts: plan.ts.Cuts}
+		}
+		s.cache.put(key, ent, int64(len(fl.wire)))
 	}
 	s.mu.Unlock()
 	// Write-through outside the service lock: disk latency (or a store

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,6 +138,138 @@ func TestCacheDirConcurrentIdenticalSubmissions(t *testing.T) {
 	}
 	if st.Store.Hits > 1 {
 		t.Errorf("store hits = %d, want <= 1 (singleflight should coalesce)", st.Store.Hits)
+	}
+}
+
+// portedArray builds the 4x4 array of TestCacheDirPortBinding: a source
+// at H(0,0) and two sinks, attached as V(4,1) then H(3,4) (the reverse of
+// scan order) and named as given.
+func portedArray(t *testing.T, first, second string) *Array {
+	t.Helper()
+	a, err := NewArray(4, 4, WithSource("in", H(0, 0)), WithSink(first, V(4, 1)), WithSink(second, H(3, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// sinkPort is one sink as a caller attached it.
+type sinkPort struct {
+	Name string
+	Edge Edge
+}
+
+// sinkPorts lists the array's sinks in attachment order, the order its
+// simulator reads them in.
+func sinkPorts(a *Array) []sinkPort {
+	var out []sinkPort
+	for _, pt := range a.g.Ports() {
+		if !pt.Source {
+			out = append(out, sinkPort{pt.Name, edgeOf(a.g, pt.Valve)})
+		}
+	}
+	return out
+}
+
+// checkPortBinding fails unless the generate job j, submitted with a,
+// returns a plan whose sinks are a's, by name and edge in attachment
+// order, with the vectors of want.
+func checkPortBinding(t *testing.T, label string, j *Job, a *Array, want *Plan) {
+	t.Helper()
+	p, err := j.Plan()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got, exp := sinkPorts(p.Array()), sinkPorts(a); !slices.Equal(got, exp) {
+		t.Errorf("%s: the caller's sinks are %v, its plan's %v", label, exp, got)
+	}
+	if compiledKey(p) != compiledKey(want) {
+		t.Errorf("%s: the plan's vectors differ from the solved plan's", label)
+	}
+}
+
+// TestCacheDirPortBinding: a generate job's plan sits on the array its
+// caller submitted, whichever path served it. The wire text carries
+// neither port names nor attachment order, and the plan key leaves names
+// out, so a plan served from the store, from the memory cache or from
+// another caller's solve must be bound to the caller's own ports.
+func TestCacheDirPortBinding(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	svc1 := NewService(WithCacheDir(dir), WithServiceWorkers(1))
+	defer svc1.Close() // on an early failure; the restart below closes it first
+
+	// Hold the only worker slot, so that a second caller coalesces onto
+	// the first one's flight before the solve starts.
+	blockArr, err := NewArray(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BaselinePlan(blockArr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := svc1.SubmitCampaign(ctx, base, WithTrials(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the blocking campaign", func() bool { return blocker.State() == JobRunning })
+	leadArr, followArr := portedArray(t, "y", "x"), portedArray(t, "p", "q")
+	lead, err := svc1.SubmitGenerate(ctx, leadArr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the flight", func() bool { return svc1.Stats().CacheMisses == 1 })
+	follow, err := svc1.SubmitGenerate(ctx, followArr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the follower", func() bool { return svc1.Stats().CacheCoalesced == 1 })
+	blocker.Cancel()
+	for _, j := range []*Job{lead, follow} {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solved, err := lead.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPortBinding(t, "leader", lead, leadArr, solved)
+	checkPortBinding(t, "follower", follow, followArr, solved)
+	hitArr := portedArray(t, "m", "n")
+	hit := generateOn(t, svc1, hitArr)
+	if !hit.CacheHit() {
+		t.Fatal("the renamed submission missed the memory cache")
+	}
+	checkPortBinding(t, "memory hit", hit, hitArr, solved)
+	svc1.Close()
+
+	// Restart: the plan comes back from the store, then from memory.
+	svc2 := NewService(WithCacheDir(dir))
+	defer svc2.Close()
+	for _, c := range []struct{ label, first, second string }{
+		{"read-back", "y", "x"},
+		{"memory hit on the read-back", "p", "q"},
+	} {
+		a := portedArray(t, c.first, c.second)
+		j := generateOn(t, svc2, a)
+		if !j.CacheHit() {
+			t.Fatalf("%s: missed the cache", c.label)
+		}
+		checkPortBinding(t, c.label, j, a, solved)
+	}
+	if st := svc2.Stats(); st.Solves != 0 || st.Store.Hits != 1 || st.CacheHits != 1 {
+		t.Errorf("after the restart: %d solves, %d store hits, %d memory hits, want 0, 1 and 1",
+			st.Solves, st.Store.Hits, st.CacheHits)
 	}
 }
 
