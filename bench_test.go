@@ -25,6 +25,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"runtime"
 	"testing"
@@ -500,8 +501,18 @@ func benchEncodePlan(b *testing.B, name string) {
 	}
 }
 
-func benchDecodePlan(b *testing.B, name string) {
+// benchDecodePlan times DecodePlan on the Table I plan for name, as
+// EncodePlan writes it or, compact, in the json.Compact form test-floor
+// uploads arrive in.
+func benchDecodePlan(b *testing.B, name string, compact bool) {
 	_, wire := planWire(b, name)
+	if compact {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, wire); err != nil {
+			b.Fatal(err)
+		}
+		wire = buf.Bytes()
+	}
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -618,8 +629,9 @@ func BenchmarkService_GenerateHit_15x15(b *testing.B) {
 }
 
 // Plan wire codec on the 10x10 (about 70 KB) and 15x15 (about 230 KB)
-// Table I plans.
-func BenchmarkEncodePlan_10x10(b *testing.B) { benchEncodePlan(b, "10x10") }
-func BenchmarkEncodePlan_15x15(b *testing.B) { benchEncodePlan(b, "15x15") }
-func BenchmarkDecodePlan_10x10(b *testing.B) { benchDecodePlan(b, "10x10") }
-func BenchmarkDecodePlan_15x15(b *testing.B) { benchDecodePlan(b, "15x15") }
+// Table I plans; _Compact decodes the 15x15 plan without the indentation.
+func BenchmarkEncodePlan_10x10(b *testing.B)         { benchEncodePlan(b, "10x10") }
+func BenchmarkEncodePlan_15x15(b *testing.B)         { benchEncodePlan(b, "15x15") }
+func BenchmarkDecodePlan_10x10(b *testing.B)         { benchDecodePlan(b, "10x10", false) }
+func BenchmarkDecodePlan_15x15(b *testing.B)         { benchDecodePlan(b, "15x15", false) }
+func BenchmarkDecodePlan_15x15_Compact(b *testing.B) { benchDecodePlan(b, "15x15", true) }

@@ -23,7 +23,7 @@ const DefaultCacheBytes = 64 << 20
 // generatorVersion names the generator's output in every plan key. A
 // change that moves any generated vector bumps it, so plans an older
 // generator left in a durable store stop matching.
-const generatorVersion = 1
+const generatorVersion = 2
 
 // planKey derives the canonical cache key of a (array, generation config)
 // pair: the SHA-256 of the array's text and ports in attachment order

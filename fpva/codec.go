@@ -11,9 +11,10 @@ package fpva
 // fields are ignored on decode, so additive changes do not need a bump.
 //
 // The array and diagnosis envelopes go through encoding/json. The plan
-// envelope, the large and frequent one, has its own encoder and decoder in
-// plancodec.go; planEnvelope below is the schema both it and the tests'
-// encoding/json reference read.
+// envelope, the large and frequent one, has its own encoder in
+// plancodec.go and a reader of the layout that encoder writes, with
+// encoding/json for any other input; planEnvelope below is the schema
+// both paths and the tests' encoding/json reference read.
 
 import (
 	"encoding/json"
@@ -230,14 +231,13 @@ func (p *Plan) MarshalJSON() ([]byte, error) { return encodePlan(p, false), nil 
 // hold one JSON value and nothing else.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var env planEnvelope
-	n, err := parsePlan(data, &env)
-	if err == nil {
-		err = trailing(data[n:])
+	if n, ok := parseWire(data, &env); !ok || trailing(data[n:]) != nil {
+		env = planEnvelope{} // encoding/json would merge into what parseWire read
+		if err := json.Unmarshal(data, &env); err != nil {
+			return fmt.Errorf("fpva: decode plan: %w: %v", ErrWireSyntax, err)
+		}
 	}
-	if err == nil {
-		err = env.decode(p)
-	}
-	return err
+	return env.decode(p)
 }
 
 // decode checks a decoded envelope and, when it is valid, makes p the plan

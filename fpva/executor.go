@@ -5,12 +5,12 @@ package fpva
 // through a pool of crash-isolated worker subprocesses instead of calling
 // the pipeline in-process. The workers speak a length-prefixed frame
 // protocol (internal/workerpool) whose payloads are defined here: the
-// request is a versioned JSON solve envelope carrying the array text and
-// the generation options, events are phase transitions, and the response
-// is the plan's v1 wire encoding — the exact bytes the service caches and
-// serves, so a subprocess solve is bit-identical to an in-process one
-// everywhere vectors are concerned (timing statistics are measurements,
-// not content, and naturally differ run to run).
+// request is a versioned JSON solve envelope carrying the array text, the
+// port order and the generation options, events are phase transitions,
+// and the response is the plan's v1 wire encoding — the exact bytes the
+// service caches and serves, so a subprocess solve is bit-identical to an
+// in-process one everywhere vectors are concerned (timing statistics are
+// measurements, not content, and naturally differ run to run).
 //
 // cmd/fpvaworker is the stock worker binary: ServeSolverWorker on
 // stdin/stdout. Any binary speaking the same protocol can be substituted
@@ -70,20 +70,22 @@ const (
 )
 
 // solveEnvelope is one solve request on the worker wire: the array in its
-// canonical text format plus every generation option that shapes the
-// vectors. It follows the same versioning policy as the other envelopes
-// (codec.go): same format name + version across supervisor and worker, or
-// the worker rejects the job.
+// canonical text format, its port valves in attachment order (the order
+// the simulator reads the sinks in, which the text does not carry), plus
+// every generation option that shapes the vectors. It follows the same
+// versioning policy as the other envelopes (codec.go): same format name +
+// version across supervisor and worker, or the worker rejects the job.
 type solveEnvelope struct {
-	Format     string `json:"format"`
-	Version    int    `json:"version"`
-	Array      string `json:"array"`
-	Direct     bool   `json:"direct,omitempty"`
-	BlockSize  int    `json:"blockSize"`
-	Workers    int    `json:"workers,omitempty"`
-	SkipLeak   bool   `json:"skipLeak,omitempty"`
-	PathEngine int    `json:"pathEngine"`
-	CutEngine  int    `json:"cutEngine"`
+	Format     string         `json:"format"`
+	Version    int            `json:"version"`
+	Array      string         `json:"array"`
+	Ports      []grid.ValveID `json:"ports"`
+	Direct     bool           `json:"direct,omitempty"`
+	BlockSize  int            `json:"blockSize"`
+	Workers    int            `json:"workers,omitempty"`
+	SkipLeak   bool           `json:"skipLeak,omitempty"`
+	PathEngine int            `json:"pathEngine"`
+	CutEngine  int            `json:"cutEngine"`
 }
 
 // solveEvent is one progress event on the worker wire (a generation phase
@@ -96,10 +98,15 @@ type solveEvent struct {
 // marshalSolveRequest renders the (array, options) pair as a solve
 // envelope.
 func marshalSolveRequest(a *Array, cfg genConfig) ([]byte, error) {
+	var ports []grid.ValveID
+	for _, pt := range a.g.Ports() {
+		ports = append(ports, pt.Valve)
+	}
 	return json.Marshal(solveEnvelope{
 		Format:     SolveFormat,
 		Version:    CodecVersion,
 		Array:      a.Text(),
+		Ports:      ports,
 		Direct:     cfg.direct,
 		BlockSize:  cfg.blockSize,
 		Workers:    cfg.workers,
@@ -169,6 +176,9 @@ func solveWorkerJob(ctx context.Context, req []byte, emit func([]byte)) ([]byte,
 		return nil, fmt.Errorf("fpva: decode solve request: %w: %v", ErrWirePayload, err)
 	}
 	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("fpva: decode solve request: %w: %v", ErrWirePayload, err)
+	}
+	if err := g.ReorderPorts(env.Ports); err != nil {
 		return nil, fmt.Errorf("fpva: decode solve request: %w: %v", ErrWirePayload, err)
 	}
 	cfg := genConfig{

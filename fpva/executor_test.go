@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/workerpool"
 )
 
@@ -227,7 +228,9 @@ func TestSubprocessCacheAndSingleflight(t *testing.T) {
 // TestSubprocessPortBinding: a worker answers with wire bytes, which carry
 // neither port names nor attachment order, yet the job's plan sits on the
 // caller's array, and so does a renamed memory hit's, with the solve's
-// vectors.
+// vectors. The worker solves the ports in the caller's attachment order,
+// not in the order the array text lists them, so its plan bytes are an
+// in-process solve's.
 func TestSubprocessPortBinding(t *testing.T) {
 	sub := newSubprocessService(t, "solve")
 	solveArr, hitArr := portedArray(t, "y", "x"), portedArray(t, "p", "q")
@@ -238,6 +241,20 @@ func TestSubprocessPortBinding(t *testing.T) {
 	}
 	checkPortBinding(t, "subprocess solve", j, solveArr, solved)
 	checkPortBinding(t, "memory hit", generateOn(t, sub, hitArr), hitArr, solved)
+
+	inproc := NewService()
+	defer inproc.Close()
+	wireIn, err := generateOn(t, inproc, solveArr).PlanBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireSub, err := j.PlanBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := normalizePlanWire(t, wireSub), normalizePlanWire(t, wireIn); got != want {
+		t.Errorf("subprocess plan wire differs from in-process:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestSubprocessKill9FailsExactlyOneJob is the crash-isolation acceptance
@@ -345,11 +362,21 @@ func TestSolveWorkerJobRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badEngine, err := json.Marshal(solveEnvelope{
-		Format: SolveFormat, Version: CodecVersion, Array: a.Text(), PathEngine: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
+	request := func(ports []grid.ValveID, pathEngine int) string {
+		b, err := json.Marshal(solveEnvelope{
+			Format: SolveFormat, Version: CodecVersion, Array: a.Text(), Ports: ports, PathEngine: pathEngine,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var ports []grid.ValveID
+	for _, pt := range a.g.Ports() {
+		ports = append(ports, pt.Valve)
+	}
+	if _, err := solveWorkerJob(context.Background(), []byte(request(ports, 0)), noEvents); err != nil {
+		t.Fatalf("a valid solve request was rejected: %v", err)
 	}
 	cases := []struct {
 		name string
@@ -359,7 +386,10 @@ func TestSolveWorkerJobRejectsGarbage(t *testing.T) {
 		{"wrong format", `{"format":"fpva.plan","version":1,"array":""}`},
 		{"wrong version", `{"format":"fpva.solve","version":99,"array":""}`},
 		{"bad array", `{"format":"fpva.solve","version":1,"array":"not an array"}`},
-		{"bad engine", string(badEngine)},
+		{"bad engine", request(ports, 99)},
+		{"no ports", request(nil, 0)},
+		{"a port twice", request([]grid.ValveID{ports[0], ports[0]}, 0)},
+		{"a valve with no port", request([]grid.ValveID{ports[0], a.g.HValve(1, 1)}, 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,6 +56,9 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(string(compact))
+	// The same plan with every omitempty member present.
+	full := strings.Replace(string(compact), `,"stats":{`, `,"leakPairs":[[1,2]],"uncoveredPath":[3],"uncoveredCut":[4],"stats":{`, 1)
+	f.Add(strings.TrimSuffix(full, "}}") + `,"path_ilp_non_optimal":1,"cut_ilp_non_optimal":2,"ilp_solves":3,"ilp_nodes":4,"solver_wall_ns":5}}`)
 	text, err := json.Marshal(a.Text())
 	if err != nil {
 		f.Fatal(err)

@@ -1,61 +1,48 @@
 package fpva
 
-// This file is the plan envelope's codec: a hand-written encoder and a
-// single-pass decoder for the v1 plan wire format. Plans are the largest
-// payload the system moves (tens to hundreds of KB, nearly all of it vector
-// open lists), and one crosses the codec on every store read-back, solve,
-// plan upload and diagnosis cache key, so the plan path does not go
-// through encoding/json, which scans a value several times and decodes it
-// by reflection.
+// This file is the plan envelope's codec: a hand-written encoder for the
+// v1 plan wire format, and a decoder that reads the one layout the
+// encoder writes and hands every other input to encoding/json. Plans are
+// the largest payload the system moves (tens to hundreds of KB, nearly
+// all of it vector open lists), and one crosses the codec on every store
+// read-back, solve, plan upload and diagnosis cache key, so the plan path
+// does not go through encoding/json, which scans a value several times
+// and decodes it by reflection.
 //
 // The contract is identity with encoding/json on planEnvelope: the encoder
 // writes the bytes json.Encoder with SetIndent("", "  ") writes (or
 // json.Marshal, for MarshalJSON), and for every input the decoder gives the
 // same success or failure, the same sentinel error and a plan that
-// re-encodes to the same bytes. codec_oracle_test.go keeps the
-// encoding/json implementation as the reference that the tests and
-// FuzzDecodePlan compare against. The encoding/json rules the decoder
-// reproduces:
+// re-encodes to the same bytes. parseWire reads the layout appendPlan
+// writes, indented or compact, which encoding/json reads into the same
+// envelope. At the first byte outside it the decoder starts again with
+// encoding/json on a fresh envelope, so for every other input
+// encoding/json is the contract itself. The input selects the path;
+// nothing else does. codec_oracle_test.go keeps the encoding/json
+// implementation as the reference that the tests and FuzzDecodePlan
+// compare against.
 //
-//   - a syntax error, or a value of the wrong JSON type for its field
-//     anywhere in the envelope, is ErrWireSyntax before any envelope or
-//     payload check; nesting deeper than 10,000 is a syntax error;
-//   - keys match their field exactly or else case-insensitively, as
-//     bytes.EqualFold compares them, after unescaping; unknown keys are
-//     skipped;
-//   - null leaves a string, number or struct field as it is and sets a
-//     slice to nil; a top-level null decodes to the zero envelope, so it
-//     fails the format check;
-//   - a duplicate key decodes into the value already there: strings and
-//     numbers are replaced, structs are merged, and slices decode over
-//     their existing elements and are then cut to the new length;
-//   - a leakPairs entry with fewer than 2 elements is zero-filled, and
-//     elements past the second are skipped unchecked;
-//   - an integer field takes only a number strconv.ParseInt accepts, so a
-//     fraction, an exponent or an overflow is a type error;
-//   - strings are unescaped, with invalid UTF-8 and unpaired surrogates
-//     replaced by U+FFFD; the encoder escapes <, >, &, U+2028 and U+2029
-//     and writes invalid UTF-8 as \ufffd;
-//   - DecodePlan checks for data after the envelope last, so a payload
-//     error wins over trailing garbage; UnmarshalJSON, like json.Unmarshal,
-//     rejects trailing data first.
+// DecodePlan checks for data after the envelope last, so a payload error
+// wins over trailing garbage; UnmarshalJSON, like json.Unmarshal, rejects
+// trailing data first.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
-// The JSON keys of planEnvelope, vectorJSON and statsJSON in field order;
-// TestPlanFieldNamesMatchTags pins them to the struct tags.
+// The JSON keys of planEnvelope, vectorJSON and statsJSON in field order,
+// as parseWire reads them; TestPlanFieldNamesMatchTags pins them to the
+// struct tags.
 var (
 	planFields = []string{"format", "version", "array", "pathVectors", "cutVectors",
 		"leakVectors", "leakPairs", "uncoveredPath", "uncoveredCut", "stats"}
@@ -297,9 +284,14 @@ func (w *wireWriter) string(s string) {
 // follows the envelope. data is not retained.
 func decodePlan(data []byte) (*Plan, error) {
 	var env planEnvelope
-	n, err := parsePlan(data, &env)
-	if err != nil {
-		return nil, err
+	n, ok := parseWire(data, &env)
+	if !ok {
+		env = planEnvelope{} // encoding/json would merge into what parseWire read
+		dec := json.NewDecoder(bytes.NewReader(data))
+		if err := dec.Decode(&env); err != nil {
+			return nil, fmt.Errorf("fpva: decode plan: %w: %v", ErrWireSyntax, err)
+		}
+		n = int(dec.InputOffset())
 	}
 	p := new(Plan)
 	if err := env.decode(p); err != nil {
@@ -336,616 +328,235 @@ func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// maxWireDepth is encoding/json's limit on nested objects and arrays.
-const maxWireDepth = 10000
-
-// parsePlan decodes the first JSON value of data into env and returns the
-// offset just past it. The value must be an object or null.
-func parsePlan(data []byte, env *planEnvelope) (int, error) {
-	d := planDecoder{data: data}
-	d.space()
-	var err error
-	switch d.peek() {
-	case '{':
-		err = d.envelope(env)
-	case 'n':
-		err = d.literal("null")
-	default:
-		err = d.mismatch("the plan envelope")
-	}
-	if err == nil {
-		err = d.typeErr
-	}
-	return d.i, err
+// parseWire reads the plan envelope at the start of data into env and
+// returns the offset just past it, provided the envelope is laid out as
+// appendPlan writes it:
+//
+//   - members in field order under their exact keys, the omitempty ones
+//     (leakPairs, uncoveredPath, uncoveredCut and the last five stats)
+//     present or absent;
+//   - no null;
+//   - strings of ASCII whose only escapes are \n, \" and \\;
+//   - integers with no sign, fraction, exponent or leading zero, of at
+//     most 18 digits, that fit their field;
+//   - any JSON whitespace between tokens.
+//
+// At the first byte outside that layout it returns false, and env holds
+// what it read up to there. encoding/json reads every input parseWire
+// accepts into the same envelope.
+func parseWire(data []byte, env *planEnvelope) (int, bool) {
+	r := wireReader{data: data}
+	ok := r.token('{') &&
+		r.member(planFields[0], true) && r.str(&env.Format) &&
+		r.member(planFields[1], false) && r.int(&env.Version) &&
+		r.member(planFields[2], false) && r.str(&env.Array) &&
+		r.member(planFields[3], false) && r.vectors(&env.PathVectors) &&
+		r.member(planFields[4], false) && r.vectors(&env.CutVectors) &&
+		r.member(planFields[5], false) && r.vectors(&env.LeakVectors) &&
+		(!r.member(planFields[6], false) || r.pairs(&env.LeakPairs)) &&
+		(!r.member(planFields[7], false) || r.ints(&env.UncoveredPath)) &&
+		(!r.member(planFields[8], false) || r.ints(&env.UncoveredCut)) &&
+		r.member(planFields[9], false) && r.stats(&env.Stats) &&
+		r.token('}')
+	return r.i, ok
 }
 
-// planDecoder validates the JSON syntax of one value and fills a
-// planEnvelope as it goes, in a single pass over data.
-type planDecoder struct {
+// wireReader is parseWire's cursor over data. Its scan loops keep the
+// cursor in a local and store it once: advancing r.i byte by byte reads
+// the indented layout's whitespace at half the speed.
+type wireReader struct {
 	data  []byte
-	i     int // the cursor
-	depth int // open objects and arrays
-	// typeErr is the first value of the wrong JSON type for its field.
-	// Like encoding/json, decoding goes on and then fails with it.
-	typeErr error
-	// arena backs the int lists that decode fresh, for the whole plan.
-	arena []int
-	// buf holds the last string that needed unescaping.
-	buf []byte
+	i     int
+	arena []int // backs every int list of the plan
 }
 
-// peek returns the byte at the cursor, or 0 at the end of the input (0 is
-// never valid where it is peeked, so the caller reports the end).
-func (d *planDecoder) peek() byte {
-	if d.i < len(d.data) {
-		return d.data[d.i]
-	}
-	return 0
-}
-
-func (d *planDecoder) space() {
-	data, i := d.data, d.i
-	for i < len(data) && data[i] <= ' ' && isSpace(data[i]) {
+func (r *wireReader) space() {
+	data, i := r.data, r.i
+	for i < len(data) && isSpace(data[i]) {
 		i++
 	}
-	d.i = i
+	r.i = i
 }
 
-// unexpected reports a syntax error at the cursor.
-func (d *planDecoder) unexpected(context string) error {
-	if d.i >= len(d.data) {
-		return fmt.Errorf("fpva: decode plan: %w: unexpected end of JSON input", ErrWireSyntax)
+// token steps over whitespace and then c.
+func (r *wireReader) token(c byte) bool {
+	r.space()
+	if r.i < len(r.data) && r.data[r.i] == c {
+		r.i++
+		return true
 	}
-	return fmt.Errorf("fpva: decode plan: %w: invalid character %q %s at offset %d",
-		ErrWireSyntax, d.data[d.i], context, d.i)
+	return false
 }
 
-func (d *planDecoder) literal(lit string) error {
-	for j := 0; j < len(lit); j++ {
-		if d.peek() != lit[j] {
-			return d.unexpected("in literal " + lit)
+// member steps over the comma before an object member, unless it is the
+// first, and over the key k and its colon. When the input holds anything
+// else there, member returns false with the cursor where it was, so that
+// an absent omitempty member can be passed over.
+func (r *wireReader) member(k string, first bool) bool {
+	at := r.i
+	if (first || r.token(',')) && r.token('"') {
+		end := r.i + len(k)
+		if end < len(r.data) && string(r.data[r.i:end]) == k && r.data[end] == '"' {
+			r.i = end + 1
+			if r.token(':') {
+				return true
+			}
 		}
-		d.i++
 	}
-	return nil
+	r.i = at
+	return false
 }
 
-// mismatch skips a value whose JSON type the field cannot take and
-// records the first such value.
-func (d *planDecoder) mismatch(field string) error {
-	at := d.i
-	if err := d.skip(); err != nil {
-		return err
+// str reads a string of ASCII whose only escapes are \n, \" and \\.
+func (r *wireReader) str(dst *string) bool {
+	if !r.token('"') {
+		return false
 	}
-	d.mismatchAt(at, field)
-	return nil
-}
-
-func (d *planDecoder) mismatchAt(at int, field string) {
-	if d.typeErr != nil {
-		return
-	}
-	kind := "number"
-	switch d.data[at] {
-	case '{':
-		kind = "object"
-	case '[':
-		kind = "array"
-	case '"':
-		kind = "string"
-	case 't', 'f':
-		kind = "bool"
-	}
-	d.typeErr = fmt.Errorf("fpva: decode plan: %w: cannot decode the JSON %s at offset %d into %s",
-		ErrWireSyntax, kind, at, field)
-}
-
-// skip validates and steps over the value at the cursor.
-func (d *planDecoder) skip() error {
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(nil, func(int) error { return d.skip() })
-	case c == '[':
-		_, err := d.elems(func(int) error { return d.skip() })
-		return err
-	case c == '"':
-		_, err := d.str()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || isDigit(c):
-		_, _, err := d.number()
-		return err
-	}
-	return d.unexpected("looking for beginning of value")
-}
-
-func (d *planDecoder) push() error {
-	d.depth++
-	if d.depth > maxWireDepth {
-		return fmt.Errorf("fpva: decode plan: %w: exceeded max depth at offset %d", ErrWireSyntax, d.i)
-	}
-	return nil
-}
-
-// object walks the object at the cursor. member is called with the index
-// in fields of each key's field, or -1 for a key no field takes, with the
-// cursor at the member's value, which it must consume.
-func (d *planDecoder) object(fields []string, member func(f int) error) error {
-	d.i++
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.space()
-	if d.peek() == '}' {
-		d.i++
-		d.depth--
-		return nil
-	}
-	for {
-		if d.peek() != '"' {
-			return d.unexpected("looking for beginning of object key string")
-		}
-		key, err := d.str()
-		if err != nil {
-			return err
-		}
-		f := fieldIndex(key, fields)
-		d.space()
-		if d.peek() != ':' {
-			return d.unexpected("after object key")
-		}
-		d.i++
-		d.space()
-		if err := member(f); err != nil {
-			return err
-		}
-		d.space()
-		switch d.peek() {
-		case ',':
-			d.i++
-			d.space()
-		case '}':
-			d.i++
-			d.depth--
-			return nil
-		default:
-			return d.unexpected("after object key:value pair")
-		}
-	}
-}
-
-// fieldIndex picks the field a key names: an exact match first, then a
-// case-insensitive one.
-func fieldIndex(key []byte, fields []string) int {
-	for f, name := range fields {
-		if string(key) == name {
-			return f
-		}
-	}
-	for f, name := range fields {
-		if bytes.EqualFold(key, []byte(name)) {
-			return f
-		}
-	}
-	return -1
-}
-
-// elems walks the array at the cursor, calling elem with each element's
-// index and the cursor at the element, which it must consume. It returns
-// the element count.
-func (d *planDecoder) elems(elem func(i int) error) (int, error) {
-	d.i++
-	if err := d.push(); err != nil {
-		return 0, err
-	}
-	d.space()
-	if d.peek() == ']' {
-		d.i++
-		d.depth--
-		return 0, nil
-	}
-	for n := 0; ; {
-		if err := elem(n); err != nil {
-			return 0, err
-		}
-		n++
-		d.space()
-		switch d.peek() {
-		case ',':
-			d.i++
-			d.space()
-		case ']':
-			d.i++
-			d.depth--
-			return n, nil
-		default:
-			return 0, d.unexpected("after array element")
-		}
-	}
-}
-
-// str scans the string at the cursor and returns its contents unescaped.
-// The result aliases data, or d.buf when unescaping rewrote it, so it is
-// valid until the next call.
-func (d *planDecoder) str() ([]byte, error) {
-	d.i++
-	start := d.i
-	plain, ascii := true, true
-	for {
-		if d.i >= len(d.data) {
-			return nil, d.unexpected("")
-		}
-		c := d.data[d.i]
-		switch {
+	data, i := r.data, r.i
+	escaped := false
+	for ; i < len(data); i++ {
+		switch c := data[i]; {
 		case c == '"':
-			raw := d.data[start:d.i]
-			d.i++
-			if plain && (ascii || utf8.Valid(raw)) {
-				return raw, nil
-			}
-			return d.unescape(raw), nil
-		case c == '\\':
-			plain = false
-			d.i++
-			switch d.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.i++
-			case 'u':
-				d.i++
-				for k := 0; k < 4; k++ {
-					if unhex(d.peek()) < 0 {
-						return nil, d.unexpected("in \\u hexadecimal character escape")
-					}
-					d.i++
-				}
-			default:
-				return nil, d.unexpected("in string escape code")
-			}
-		case c < 0x20:
-			return nil, d.unexpected("in string literal")
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			d.i++
-		}
-	}
-}
-
-func unhex(c byte) rune {
-	switch {
-	case '0' <= c && c <= '9':
-		return rune(c - '0')
-	case 'a' <= c && c <= 'f':
-		return rune(c - 'a' + 10)
-	case 'A' <= c && c <= 'F':
-		return rune(c - 'A' + 10)
-	}
-	return -1
-}
-
-// u4 decodes the \uXXXX escape at the start of s, or returns -1.
-func u4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	return unhex(s[2])<<12 | unhex(s[3])<<8 | unhex(s[4])<<4 | unhex(s[5])
-}
-
-// unescape rewrites the body of a syntactically valid string the way
-// encoding/json does: escapes decoded, a surrogate pair joined, and an
-// unpaired surrogate or invalid UTF-8 replaced by U+FFFD.
-func (d *planDecoder) unescape(s []byte) []byte {
-	b := d.buf[:0]
-	for r := 0; r < len(s); {
-		switch c := s[r]; {
-		case c == '\\':
-			switch e := s[r+1]; e {
-			case 'u':
-				rr := u4(s[r:])
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					if dec := utf16.DecodeRune(rr, u4(s[r:])); dec != unicode.ReplacementChar {
-						r += 6
-						b = utf8.AppendRune(b, dec)
-						break
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-			default:
-				b = append(b, unescapes[e])
-				r += 2
-			}
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			b = utf8.AppendRune(b, rr)
-			r += size
-		}
-	}
-	d.buf = b
-	return b
-}
-
-// unescapes maps the byte after a backslash to the byte it stands for.
-var unescapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// number scans the number at the cursor. ok reports an integer that
-// strconv.ParseInt accepts, the test encoding/json applies for an int
-// field: a fraction, an exponent or an int64 overflow is not ok.
-func (d *planDecoder) number() (n int64, ok bool, err error) {
-	start := d.i
-	if d.peek() == '-' {
-		d.i++
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.i++
-	case '1' <= c && c <= '9':
-		data, i := d.data, d.i+1
-		for i < len(data) && isDigit(data[i]) {
-			i++
-		}
-		d.i = i
-	default:
-		return 0, false, d.unexpected("in numeric literal")
-	}
-	lit := d.data[start:d.i]
-	ok = true
-	if d.peek() == '.' {
-		d.i++
-		if !isDigit(d.peek()) {
-			return 0, false, d.unexpected("after decimal point in numeric literal")
-		}
-		for d.i++; isDigit(d.peek()); d.i++ {
-		}
-		ok = false
-	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.i++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.i++
-		}
-		if !isDigit(d.peek()) {
-			return 0, false, d.unexpected("in exponent of numeric literal")
-		}
-		for d.i++; isDigit(d.peek()); d.i++ {
-		}
-		ok = false
-	}
-	if !ok {
-		return 0, false, nil
-	}
-	if len(lit) > 18 { // may not fit int64
-		n, err := strconv.ParseInt(string(lit), 10, 64)
-		return n, err == nil, nil
-	}
-	for _, c := range lit {
-		if c != '-' {
-			n = n*10 + int64(c-'0')
-		}
-	}
-	if lit[0] == '-' {
-		n = -n
-	}
-	return n, true, nil
-}
-
-// integer decodes an integer field of the given bit size: a number that
-// fits is returned with set, null leaves the field as it is, and any other
-// value is a type mismatch.
-func (d *planDecoder) integer(bits int, field string) (n int64, set bool, err error) {
-	switch c := d.peek(); {
-	case c == '-' || isDigit(c):
-		at := d.i
-		n, ok, err := d.number()
-		if err != nil {
-			return 0, false, err
-		}
-		if !ok || bits < 64 && (n < -1<<(bits-1) || n >= 1<<(bits-1)) {
-			d.mismatchAt(at, field)
-			return 0, false, nil
-		}
-		return n, true, nil
-	case c == 'n':
-		return 0, false, d.literal("null")
-	}
-	return 0, false, d.mismatch(field)
-}
-
-func (d *planDecoder) int(dst *int, field string) error {
-	n, set, err := d.integer(strconv.IntSize, field)
-	if set {
-		*dst = int(n)
-	}
-	return err
-}
-
-func (d *planDecoder) int64(dst *int64, field string) error {
-	n, set, err := d.integer(64, field)
-	if set {
-		*dst = n
-	}
-	return err
-}
-
-// string decodes a string field; null leaves it as it is.
-func (d *planDecoder) string(dst *string, field string) error {
-	switch d.peek() {
-	case '"':
-		s, err := d.str()
-		if err == nil {
-			*dst = string(s)
-		}
-		return err
-	case 'n':
-		return d.literal("null")
-	}
-	return d.mismatch(field)
-}
-
-// record decodes an object into a struct field; null leaves it as it is.
-func (d *planDecoder) record(fields []string, field string, member func(f int) error) error {
-	switch d.peek() {
-	case '{':
-		return d.object(fields, member)
-	case 'n':
-		return d.literal("null")
-	}
-	return d.mismatch(field)
-}
-
-// decodeSlice decodes an array into a slice field: each element decodes
-// over whatever an earlier duplicate key left at its index, the slice is
-// then cut to the elements read, [] gives an empty slice and null gives
-// nil.
-func decodeSlice[T any](d *planDecoder, s *[]T, field string, elem func(*T) error) error {
-	switch d.peek() {
-	case '[':
-	case 'n':
-		err := d.literal("null")
-		if err == nil {
-			*s = nil
-		}
-		return err
-	default:
-		return d.mismatch(field)
-	}
-	v := *s
-	n, err := d.elems(func(i int) error {
-		if i == len(v) {
-			if i < cap(v) {
-				v = v[:i+1]
+			if escaped {
+				*dst = unescapeWire(data[r.i:i])
 			} else {
-				var zero T
-				v = append(v, zero)
+				*dst = string(data[r.i:i])
+			}
+			r.i = i + 1
+			return true
+		case c == '\\':
+			i++
+			if i == len(data) || data[i] != 'n' && data[i] != '"' && data[i] != '\\' {
+				return false
+			}
+			escaped = true
+		case c < 0x20 || c >= utf8.RuneSelf:
+			return false
+		}
+	}
+	return false
+}
+
+// unescapeWire decodes the escapes str accepts.
+func unescapeWire(s []byte) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' {
+			i++
+			if c = s[i]; c == 'n' {
+				c = '\n'
 			}
 		}
-		return elem(&v[i])
-	})
-	if err != nil {
-		return err
+		b.WriteByte(c)
 	}
-	if n == 0 {
-		v = []T{}
-	}
-	*s = v[:n]
-	return nil
+	return b.String()
 }
 
-// ints decodes an int list field. A list that decodes fresh (nothing of
-// an earlier duplicate key to reuse) takes its elements from d.arena, one
-// backing array for the whole plan; that changes only capacities, which
-// nothing observes.
-func (d *planDecoder) ints(s *[]int, field string) error {
-	elem := func(v *int) error { return d.int(v, field) }
-	if cap(*s) > 0 || d.peek() != '[' {
-		return decodeSlice(d, s, field, elem)
+// int64 reads an integer of 1 to 18 digits with no sign and no leading
+// zero, so it always fits.
+func (r *wireReader) int64(dst *int64) bool {
+	r.space()
+	data, i := r.data, r.i
+	start := i
+	var n int64
+	for i < len(data) && isDigit(data[i]) {
+		n = n*10 + int64(data[i]-'0')
+		i++
 	}
-	start := len(d.arena)
-	n, err := d.elems(func(int) error {
-		v, _, err := d.integer(strconv.IntSize, field) // v is 0 unless set: a fresh element stays zero
-		d.arena = append(d.arena, int(v))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		*s = []int{}
-	} else {
-		*s = d.arena[start:len(d.arena):len(d.arena)]
-	}
-	return nil
+	r.i = i
+	*dst = n
+	digits := i - start
+	return digits > 0 && digits <= 18 && (digits == 1 || data[start] != '0')
 }
 
-// pair decodes a leakPairs entry, an [2]int: null leaves it as it is,
-// missing elements are zeroed and extra ones skipped.
-func (d *planDecoder) pair(p *[2]int) error {
-	switch d.peek() {
-	case '[':
-	case 'n':
-		return d.literal("null")
-	default:
-		return d.mismatch("leakPairs entry")
+// int reads an integer as int64 does, and fails unless it fits an int.
+func (r *wireReader) int(dst *int) bool {
+	var n int64
+	ok := r.int64(&n)
+	*dst = int(n)
+	return ok && int64(*dst) == n
+}
+
+// list reads an array, calling elem at each element.
+func (r *wireReader) list(elem func() bool) bool {
+	if !r.token('[') {
+		return false
 	}
-	n, err := d.elems(func(i int) error {
-		if i < len(p) {
-			return d.int(&p[i], "leakPairs entry")
+	if r.token(']') {
+		return true
+	}
+	for elem() {
+		if r.token(']') {
+			return true
 		}
-		return d.skip()
-	})
-	for ; err == nil && n < len(p); n++ {
-		p[n] = 0
-	}
-	return err
-}
-
-func (d *planDecoder) envelope(env *planEnvelope) error {
-	return d.object(planFields, func(f int) error {
-		switch f {
-		case 0:
-			return d.string(&env.Format, "format")
-		case 1:
-			return d.int(&env.Version, "version")
-		case 2:
-			return d.string(&env.Array, "array")
-		case 3:
-			return d.vectors(&env.PathVectors, "pathVectors")
-		case 4:
-			return d.vectors(&env.CutVectors, "cutVectors")
-		case 5:
-			return d.vectors(&env.LeakVectors, "leakVectors")
-		case 6:
-			return decodeSlice(d, &env.LeakPairs, "leakPairs", d.pair)
-		case 7:
-			return d.ints(&env.UncoveredPath, "uncoveredPath")
-		case 8:
-			return d.ints(&env.UncoveredCut, "uncoveredCut")
-		case 9:
-			return d.stats(&env.Stats)
+		if !r.token(',') {
+			return false
 		}
-		return d.skip()
+	}
+	return false
+}
+
+// ints reads an int list. Its elements go to r.arena, one backing array
+// for every list of the plan; that changes only capacities, which nothing
+// observes.
+func (r *wireReader) ints(dst *[]int) bool {
+	start := len(r.arena)
+	ok := r.list(func() bool {
+		var v int
+		ok := r.int(&v)
+		r.arena = append(r.arena, v)
+		return ok
+	})
+	*dst = r.arena[start:len(r.arena):len(r.arena)]
+	return ok
+}
+
+func (r *wireReader) vectors(dst *[]vectorJSON) bool {
+	return r.list(func() bool {
+		*dst = append(*dst, vectorJSON{})
+		v := &(*dst)[len(*dst)-1]
+		return r.token('{') &&
+			r.member(vectorFields[0], true) && r.str(&v.Name) &&
+			r.member(vectorFields[1], false) && r.str(&v.Kind) &&
+			r.member(vectorFields[2], false) && r.ints(&v.Open) &&
+			r.token('}')
 	})
 }
 
-func (d *planDecoder) vectors(s *[]vectorJSON, field string) error {
-	return decodeSlice(d, s, field, func(v *vectorJSON) error {
-		return d.record(vectorFields, field+" entry", func(f int) error {
-			switch f {
-			case 0:
-				return d.string(&v.Name, "vector name")
-			case 1:
-				return d.string(&v.Kind, "vector kind")
-			case 2:
-				return d.ints(&v.Open, "vector open list")
-			}
-			return d.skip()
-		})
+// pairs reads leakPairs, whose entries have exactly two elements.
+func (r *wireReader) pairs(dst *[][2]int) bool {
+	return r.list(func() bool {
+		var p [2]int
+		ok := r.token('[') && r.int(&p[0]) && r.token(',') && r.int(&p[1]) && r.token(']')
+		*dst = append(*dst, p)
+		return ok
 	})
 }
 
-func (d *planDecoder) stats(s *statsJSON) error {
+func (r *wireReader) stats(s *statsJSON) bool {
 	// The fields by their index in statsFields: the int ones and the
 	// int64 nanosecond ones.
 	ints := [...]*int{0: &s.NV, 1: &s.NP, 2: &s.NC, 3: &s.NL, 4: &s.N,
 		9: &s.PathILPNonOptimal, 10: &s.CutILPNonOptimal, 11: &s.ILPSolves, 12: &s.ILPNodes}
 	nanos := [...]*int64{5: &s.TPNanos, 6: &s.TCNanos, 7: &s.TLNanos, 8: &s.TNanos, 13: &s.SolverWallNanos}
-	return d.record(statsFields, "stats", func(f int) error {
+	if !r.token('{') {
+		return false
+	}
+	for f, k := range statsFields {
+		var ok bool
 		switch {
-		case f < 0:
-			return d.skip()
-		case f < len(ints) && ints[f] != nil:
-			return d.int(ints[f], statsFields[f])
+		case !r.member(k, f == 0):
+			ok = f >= 9 // the omitempty members, path_ilp_non_optimal on, may be absent
+		case nanos[f] != nil:
+			ok = r.int64(nanos[f])
+		default:
+			ok = r.int(ints[f])
 		}
-		return d.int64(nanos[f], statsFields[f])
-	})
+		if !ok {
+			return false
+		}
+	}
+	return r.token('}')
 }

@@ -74,11 +74,14 @@ func comparePlanOutcome(t testing.TB, op string, got *Plan, err error, want *Pla
 	}
 }
 
-// TestPlanCodecMatchesOracle pins the single-pass codec to the
-// encoding/json reference: identical bytes for every Table I plan, both
-// generated and baseline, and for the golden file, and identical outcomes
-// on a table of inputs covering each encoding/json rule the decoder
-// reproduces (see plancodec.go).
+// TestPlanCodecMatchesOracle pins the codec to the encoding/json
+// reference: identical bytes for every Table I plan, both generated and
+// baseline, and for the golden file; identical outcomes on a table of
+// inputs covering the JSON syntax, the field types, the envelope and
+// payload checks, keys, null, duplicate keys, integers and strings; and
+// identical outcomes on the golden plan with one token changed at each
+// edge of the layout parseWire reads, deep inside the plan, where each
+// row also pins whether parseWire reads it or encoding/json does.
 func TestPlanCodecMatchesOracle(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "plan_v1.golden.json"))
 	if err != nil {
@@ -282,6 +285,136 @@ func TestPlanCodecMatchesOracle(t *testing.T) {
 		{"escaped array text", `{"format":"fpva.plan","version":1,"array":` + strings.ReplaceAll(arr2, `\n`, `\u000a`) + `}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) { AssertPlanMatchesOracle(t, []byte(tc.in)) })
+	}
+
+	g := string(golden)
+	// The last entry of the last open list, the last stats member, the
+	// last vector's name and kind, and a leak pair.
+	lastOpen := "        54\n      ]\n    }\n  ],\n  \"leakPairs\""
+	lastStat := `"t_ns": 445022` + "\n"
+	leak1 := `"name": "leak1",` + "\n      \"kind\""
+	pair := "[\n      37,\n      42\n    ]"
+	stats := `"stats": {`
+	leakPairs := g[strings.Index(g, `"leakPairs"`):strings.Index(g, stats)]
+	open1 := g[strings.Index(g, `"name": "leak1"`):]
+	open1 = open1[strings.Index(open1, `"open"`) : strings.Index(open1, "]")+1]
+	for _, tc := range []struct {
+		name, old, new string
+		reads          bool // parseWire reads the result
+	}{
+		{"open leading zero", lastOpen, "0" + lastOpen[8:], false},
+		{"open minus", lastOpen, "-" + lastOpen[8:], false},
+		{"open fraction", lastOpen, "        54.0" + lastOpen[10:], false},
+		{"open exponent", lastOpen, "        54e0" + lastOpen[10:], false},
+		{"open 19 digits", lastOpen, "        1000000000000000054" + lastOpen[10:], false},
+		{"open 18 digits", lastOpen, "        100000000000000054" + lastOpen[10:], true},
+		{"stats leading zero", lastStat, `"t_ns": 0445022` + "\n", false},
+		{"stats minus", lastStat, `"t_ns": -445022` + "\n", false},
+		{"stats fraction", lastStat, `"t_ns": 445022.0` + "\n", false},
+		{"stats exponent", lastStat, `"t_ns": 445022e0` + "\n", false},
+		{"stats 19 digits", lastStat, `"t_ns": 1000000000000445022` + "\n", false},
+		{"stats 18 digits", lastStat, `"t_ns": 100000000000445022` + "\n", true},
+		{"name unicode escape", leak1, `"name": "leak\u0031",` + leak1[16:], false},
+		{"name escaped solidus", leak1, `"name": "leak\/1",` + leak1[16:], false},
+		{"name tab escape", leak1, `"name": "leak\t1",` + leak1[16:], false},
+		{"name non-ASCII", leak1, "\"name\": \"le\u00e4k1\"," + leak1[16:], false},
+		{"name quote and backslash escapes", leak1, `"name": "le\"a\\k1",` + leak1[16:], true},
+		{"leakPairs empty", leakPairs, `"leakPairs": [],` + "\n  ", true},
+		{"leak pair of 1", pair, "[\n      37\n    ]", false},
+		{"leak pair of 3", pair, "[\n      37,\n      42,\n      43\n    ]", false},
+		{"uncoveredPath empty", stats, `"uncoveredPath": [],` + "\n  " + stats, true},
+		{"uncoveredCut", stats, `"uncoveredCut": [` + "\n    3\n  ],\n  " + stats, true},
+		{"omitempty stat as 0", lastStat, `"t_ns": 445022,` + "\n    \"ilp_solves\": 0\n", true},
+		{"omitempty stats swapped", lastStat, `"t_ns": 445022,` + "\n    \"ilp_nodes\": 5,\n    \"ilp_solves\": 3\n", false},
+		{"required key in another case", leak1, `"name": "leak1",` + "\n      \"Kind\"", false},
+		{"null list", open1, `"open": null`, false},
+		// parseWire has read every vector when it stops, so the fallback
+		// must decode into a fresh envelope.
+		{"unknown stats member", lastStat, `"t_ns": 445022,` + "\n    \"extra\": 1\n", false},
+	} {
+		t.Run("golden "+tc.name, func(t *testing.T) {
+			if strings.Count(g, tc.old) != 1 {
+				t.Fatalf("%q is not once in the golden plan", tc.old)
+			}
+			in := []byte(strings.Replace(g, tc.old, tc.new, 1))
+			var env planEnvelope
+			if _, ok := parseWire(in, &env); ok != tc.reads {
+				t.Errorf("parseWire reads it: %t, want %t", ok, tc.reads)
+			}
+			AssertPlanMatchesOracle(t, in)
+		})
+	}
+}
+
+// TestParseWireReadsEncoderLayouts: every layout the encoder writes takes
+// parseWire, not the encoding/json fallback: indented (EncodePlan),
+// compact (MarshalJSON) and json.Compact of the indented bytes, for every
+// Table I plan and baseline, the golden file, an ILP-engine plan (the
+// ilp_* stats), the 30x30 plan (uncoveredCut) and a plan with every
+// omitempty member. A reader that always fell back would pass every
+// identity test and lose the speed. The 20x20 and 30x30 baselines, 7.5
+// and 40 MB indented, are the smaller baselines' layout at scale; checking
+// them against the reference would take minutes under -race.
+func TestParseWireReadsEncoderLayouts(t *testing.T) {
+	ctx := context.Background()
+	golden, err := os.ReadFile(filepath.Join("testdata", "plan_v1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenPlan, err := decodePlan(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]*Plan{"golden": goldenPlan}
+	for _, name := range BenchmarkNames() {
+		a, err := BenchmarkArray(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plans[name], err = Generate(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		if name == "20x20" || name == "30x30" {
+			continue
+		}
+		if plans[name+" baseline"], err = BaselinePlan(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := NewArray(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plans["4x4 ILP"], err = Generate(ctx, a, WithPathEngine(PathEngineILPIterative), WithCutEngine(CutEngineILP)); err != nil {
+		t.Fatal(err)
+	}
+	if plans["4x4 ILP"].ts.Stats.ILPSolves == 0 || len(plans["30x30"].ts.UncoveredCut) == 0 {
+		t.Fatal("no plan carries the ilp_* stats or uncoveredCut")
+	}
+	ts := *goldenPlan.ts
+	ts.UncoveredPath, ts.UncoveredCut = ts.LeakPairs[0][:1], ts.LeakPairs[1][:]
+	ts.Stats.PathILPNonOptimal, ts.Stats.CutILPNonOptimal = 1, 2
+	ts.Stats.ILPSolves, ts.Stats.ILPNodes, ts.Stats.SolverWall = 3, 4, 5
+	plans["every omitempty member"] = &Plan{a: goldenPlan.a, ts: &ts}
+
+	check := func(name string, data []byte) {
+		t.Helper()
+		var env planEnvelope
+		if n, ok := parseWire(data, &env); !ok || n != bytes.LastIndexByte(data, '}')+1 {
+			t.Errorf("%s: parseWire = %d, %t; want %d, true", name, n, ok, bytes.LastIndexByte(data, '}')+1)
+		}
+		AssertPlanMatchesOracle(t, data)
+	}
+	check("golden file", golden)
+	for name, p := range plans {
+		indented, compact := encodePlan(p, true), encodePlan(p, false)
+		var recompacted bytes.Buffer
+		if err := json.Compact(&recompacted, indented); err != nil {
+			t.Fatal(err)
+		}
+		check(name+" indented", indented)
+		check(name+" compact", compact)
+		check(name+" json.Compact", recompacted.Bytes())
 	}
 }
 

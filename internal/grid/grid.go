@@ -21,6 +21,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -366,6 +367,24 @@ func (a *Array) InteriorCell(id ValveID) CellID {
 // Ports returns the attached ports in attachment order. The returned slice
 // must not be modified.
 func (a *Array) Ports() []Port { return a.ports }
+
+// ReorderPorts puts the ports in the order of valves, which must name
+// every port's valve exactly once.
+func (a *Array) ReorderPorts(valves []ValveID) error {
+	if len(valves) != len(a.ports) {
+		return fmt.Errorf("grid: %d port valves for %d ports", len(valves), len(a.ports))
+	}
+	ports := make([]Port, len(valves))
+	for i, v := range valves {
+		k := slices.IndexFunc(a.ports, func(p Port) bool { return p.Valve == v })
+		if k < 0 || slices.Contains(valves[:i], v) {
+			return fmt.Errorf("grid: port valves %v are not the array's ports", valves)
+		}
+		ports[i] = a.ports[k]
+	}
+	a.ports = ports
+	return nil
+}
 
 // Sources returns the pressure-source ports.
 func (a *Array) Sources() []Port { return a.filterPorts(true) }
