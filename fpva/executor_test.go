@@ -355,7 +355,8 @@ func TestSubprocessSolverTimeout(t *testing.T) {
 }
 
 // TestSolveWorkerJobRejectsGarbage covers the worker-side request
-// validation: non-JSON, wrong format, bad version, bad array, bad engine.
+// validation: non-JSON, wrong format, bad version, bad array, bad engine,
+// and ports that are not a permutation of the array's port valves.
 func TestSolveWorkerJobRejectsGarbage(t *testing.T) {
 	noEvents := func([]byte) {}
 	a, err := NewArray(3, 3)
