@@ -519,6 +519,42 @@ func TestGoldenDiagnosis(t *testing.T) {
 	}
 }
 
+// TestDecodeDiagnosisEmptyListsAreNil: the golden diagnosis with its
+// probe and round lists empty, or absent, decodes to nil Probes and
+// Rounds, not to empty slices.
+func TestDecodeDiagnosisEmptyListsAreNil(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "diagnosis_v1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, empty := range []bool{true, false} {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(golden, &env); err != nil {
+			t.Fatal(err)
+		}
+		delete(env, "probes")
+		delete(env, "rounds")
+		if empty {
+			env["probes"] = json.RawMessage(`[]`)
+			env["rounds"] = json.RawMessage(`[]`)
+		}
+		in, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := fpva.DecodeDiagnosis(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Probes != nil || d.Rounds != nil {
+			t.Errorf("empty=%t: Probes = %#v, Rounds = %#v, want nil", empty, d.Probes, d.Rounds)
+		}
+		if len(d.Ambiguity) == 0 {
+			t.Errorf("empty=%t: the ambiguity set was lost", empty)
+		}
+	}
+}
+
 // TestDiagnosisCodecErrors pins the sentinel classification of
 // diagnosis-specific payload failures.
 func TestDiagnosisCodecErrors(t *testing.T) {
