@@ -60,6 +60,29 @@ func TestConfigFilePrecedence(t *testing.T) {
 	}
 }
 
+// TestConfigFileCacheMBZero: "cacheMB": 0 in the config file disables the
+// plan cache, as -cache-mb 0 does; an absent key keeps the default.
+func TestConfigFileCacheMBZero(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		doc  string
+		want int
+	}{
+		{`{"cacheMB": 0}`, 0},
+		{`{"cacheMB": 128}`, 128},
+		{`{"addr": "127.0.0.1:9999"}`, defaultOptions().cacheMB},
+	} {
+		cfg := writeFile(t, dir, "fpvad.json", tc.doc)
+		opt, err := parseFlags([]string{"-config", cfg}, io.Discard)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		if opt.cacheMB != tc.want {
+			t.Errorf("%s: cacheMB = %d, want %d", tc.doc, opt.cacheMB, tc.want)
+		}
+	}
+}
+
 func TestConfigFileRejectsUnknownFields(t *testing.T) {
 	cfg := writeFile(t, t.TempDir(), "fpvad.json", `{"adr": ":9"}`)
 	if _, err := parseFlags([]string{"-config", cfg}, io.Discard); err == nil {

@@ -41,13 +41,14 @@ func (d *jsonDuration) UnmarshalJSON(b []byte) error {
 }
 
 // fileConfig is the JSON shape of a fpvad config file. Every field
-// maps 1:1 onto a flag; a zero or absent field keeps the default, and
-// unknown fields are an error so typos fail -validate instead of
+// maps 1:1 onto a flag; an absent field keeps the default, and so does a
+// zero one, except cacheMB, whose 0 disables the plan cache as -cache-mb
+// 0 does. Unknown fields are an error so typos fail -validate instead of
 // silently deploying defaults.
 type fileConfig struct {
 	Addr            string       `json:"addr"`
 	Workers         int          `json:"workers"`
-	CacheMB         int          `json:"cacheMB"`
+	CacheMB         *int         `json:"cacheMB"`
 	CacheDir        string       `json:"cacheDir"`
 	CacheDirMB      int          `json:"cacheDirMB"`
 	PprofAddr       string       `json:"pprofAddr"`
@@ -88,7 +89,7 @@ func scanConfigArg(args []string) (string, error) {
 	return "", nil
 }
 
-// applyConfigFile overlays the file's non-zero settings onto opt.
+// applyConfigFile overlays the file's settings onto opt (see fileConfig).
 func applyConfigFile(path string, opt *options) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -109,8 +110,8 @@ func applyConfigFile(path string, opt *options) error {
 	if fc.Workers != 0 {
 		opt.workers = fc.Workers
 	}
-	if fc.CacheMB != 0 {
-		opt.cacheMB = fc.CacheMB
+	if fc.CacheMB != nil {
+		opt.cacheMB = *fc.CacheMB
 	}
 	if fc.CacheDir != "" {
 		opt.cacheDir = fc.CacheDir
