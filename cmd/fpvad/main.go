@@ -428,51 +428,12 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
-	authFailures, rateLimited := s.adm.counters()
-	out := api.ServiceStats{
-		JobsSubmitted: st.JobsSubmitted,
-		JobsPending:   st.JobsPending, JobsRunning: st.JobsRunning,
-		JobsDone: st.JobsDone, JobsFailed: st.JobsFailed, JobsCanceled: st.JobsCanceled,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, CacheCoalesced: st.CacheCoalesced,
-		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCapBytes: st.CacheCapBytes,
-		Solves: st.Solves, SolverWallNs: st.SolverWall.Nanoseconds(),
-		Campaigns: st.Campaigns, CampaignWallNs: st.CampaignWall.Nanoseconds(),
-		Verifies:  st.Verifies,
-		Diagnoses: st.Diagnoses, DiagnoseWallNs: st.DiagnoseWall.Nanoseconds(),
-		SigCacheHits: st.SigCacheHits, SigCacheMisses: st.SigCacheMisses,
-		CompileHits: st.CompileHits, CompileMisses: st.CompileMisses,
-		SolverExecutor: st.SolverExecutor,
-		WorkerSlots:    st.WorkerSlots, WorkersAlive: st.WorkersAlive, WorkersBusy: st.WorkersBusy,
-		WorkerSpawns: st.WorkerSpawns, WorkerRestarts: st.WorkerRestarts, WorkerKills: st.WorkerKills,
-		JobsShed:     st.JobsShed,
-		AuthFailures: authFailures, RateLimited: rateLimited,
-		Kinds: kindStats(st.Kinds),
-	}
-	if st.Store.Mode != "" {
-		out.Store = &api.StoreStats{
-			Mode: st.Store.Mode, Reason: st.Store.Reason,
-			Entries: st.Store.Entries, Bytes: st.Store.Bytes, CapBytes: st.Store.CapBytes,
-			Hits: st.Store.Hits, Misses: st.Store.Misses,
-			Writes: st.Store.Writes, WriteErrors: st.Store.WriteErrors,
-			SkippedWrites: st.Store.SkippedWrites, ReadErrors: st.Store.ReadErrors,
-			Quarantined: st.Store.Quarantined, Evictions: st.Store.Evictions,
-			Trips: st.Store.Trips, Recoveries: st.Store.Recoveries,
-		}
+	out := api.ServiceStats{ServiceStats: s.svc.Stats()}
+	out.AuthFailures, out.RateLimited = s.adm.counters()
+	if out.ServiceStats.Store.Mode != "" {
+		out.Store = &out.ServiceStats.Store
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// kindStats converts the per-kind tallies onto their wire mirror.
-func kindStats(in map[string]fpva.JobKindStats) map[string]api.KindStats {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]api.KindStats, len(in))
-	for k, v := range in {
-		out[k] = api.KindStats{Submitted: v.Submitted, Done: v.Done, Failed: v.Failed, Canceled: v.Canceled}
-	}
-	return out
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,10 @@
 // daemon smoke guarded compatibility.
 //
 // Plans and arrays ride inside these messages in the fpva v1 wire format
-// (json.RawMessage passthrough); everything else is plain JSON.
+// (json.RawMessage passthrough); everything else is plain JSON. The
+// service counters are fpva's own types with their JSON tags:
+// ServiceStats embeds fpva.ServiceStats, and StoreStats and KindStats
+// are aliases, so each counter is declared once, in fpva.
 package api
 
 import (
@@ -170,66 +173,21 @@ type VerifyReport struct {
 	DoubleEscapes [][2]Fault `json:"doubleEscapes"`
 }
 
-// ServiceStats mirrors fpva.ServiceStats with wire-style field names
-// (durations in nanoseconds).
+// ServiceStats is the GET /v1/stats body: the service's counters as
+// fpva.ServiceStats serves them (durations in nanoseconds), fpvad's two
+// admission counters, and the durable plan store. Store shadows
+// fpva.ServiceStats.Store, which that type's JSON leaves out; it is nil,
+// and "store" absent, when the daemon runs without -cache-dir.
 type ServiceStats struct {
-	JobsSubmitted  int                  `json:"jobsSubmitted"`
-	JobsPending    int                  `json:"jobsPending"`
-	JobsRunning    int                  `json:"jobsRunning"`
-	JobsDone       int                  `json:"jobsDone"`
-	JobsFailed     int                  `json:"jobsFailed"`
-	JobsCanceled   int                  `json:"jobsCanceled"`
-	CacheHits      int                  `json:"cacheHits"`
-	CacheMisses    int                  `json:"cacheMisses"`
-	CacheCoalesced int                  `json:"cacheCoalesced"`
-	CacheEntries   int                  `json:"cacheEntries"`
-	CacheBytes     int64                `json:"cacheBytes"`
-	CacheCapBytes  int64                `json:"cacheCapBytes"`
-	Solves         int                  `json:"solves"`
-	SolverWallNs   int64                `json:"solverWallNs"`
-	Campaigns      int                  `json:"campaigns"`
-	CampaignWallNs int64                `json:"campaignWallNs"`
-	Verifies       int                  `json:"verifies"`
-	Diagnoses      int                  `json:"diagnoses"`
-	DiagnoseWallNs int64                `json:"diagnoseWallNs"`
-	SigCacheHits   int                  `json:"sigCacheHits"`
-	SigCacheMisses int                  `json:"sigCacheMisses"`
-	CompileHits    int                  `json:"compileHits"`
-	CompileMisses  int                  `json:"compileMisses"`
-	SolverExecutor string               `json:"solverExecutor,omitempty"`
-	WorkerSlots    int                  `json:"workerSlots,omitempty"`
-	WorkersAlive   int                  `json:"workersAlive,omitempty"`
-	WorkersBusy    int                  `json:"workersBusy,omitempty"`
-	WorkerSpawns   int                  `json:"workerSpawns,omitempty"`
-	WorkerRestarts int                  `json:"workerRestarts,omitempty"`
-	WorkerKills    int                  `json:"workerKills,omitempty"`
-	JobsShed       int                  `json:"jobsShed"`
-	AuthFailures   int                  `json:"authFailures"`
-	RateLimited    int                  `json:"rateLimited"`
-	Store          *StoreStats          `json:"store,omitempty"`
-	Kinds          map[string]KindStats `json:"kinds,omitempty"`
+	fpva.ServiceStats
+	AuthFailures int         `json:"authFailures"`
+	RateLimited  int         `json:"rateLimited"`
+	Store        *StoreStats `json:"store,omitempty"`
 }
 
-// StoreStats mirrors fpva.ServiceStats.Store: the durable plan store's
-// mode and counters. Absent from /v1/stats when the daemon runs
-// without -cache-dir.
-type StoreStats struct {
-	Mode          string `json:"mode"` // "ok" | "degraded"
-	Reason        string `json:"reason,omitempty"`
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	CapBytes      int64  `json:"capBytes"`
-	Hits          int    `json:"hits"`
-	Misses        int    `json:"misses"`
-	Writes        int    `json:"writes"`
-	WriteErrors   int    `json:"writeErrors"`
-	SkippedWrites int    `json:"skippedWrites"`
-	ReadErrors    int    `json:"readErrors"`
-	Quarantined   int    `json:"quarantined"`
-	Evictions     int    `json:"evictions"`
-	Trips         int    `json:"trips"`
-	Recoveries    int    `json:"recoveries"`
-}
+// StoreStats is the "store" member of /v1/stats: the durable plan
+// store's mode and counters.
+type StoreStats = fpva.StoreStats
 
 // Health is the GET /healthz body. Status is "ok" or "degraded"; both
 // answer 200 so load balancers don't flap on a daemon that still
@@ -259,9 +217,4 @@ type HealthWorkers struct {
 }
 
 // KindStats is the per-JobKind submission/terminal tally.
-type KindStats struct {
-	Submitted int `json:"submitted"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Canceled  int `json:"canceled"`
-}
+type KindStats = fpva.JobKindStats

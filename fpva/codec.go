@@ -364,33 +364,20 @@ func faultsFromJSON(g *grid.Array, fjs []faultJSON) ([]Fault, error) {
 	return out, nil
 }
 
-// probeJSON / roundJSON carry the probe plan and the narrowing history.
-type probeJSON struct {
-	Vector    int `json:"vector"`
-	WorstCase int `json:"worstCase"`
-	Classes   int `json:"classes"`
-}
-
-type roundJSON struct {
-	Vector int `json:"vector"`
-	Before int `json:"before"`
-	After  int `json:"after"`
-}
-
 // diagnosisEnvelope is the diagnosis wire format: the array (text format),
 // the surviving candidate fault sets, their signature classes, the probe
 // plan and the per-round narrowing stats.
 type diagnosisEnvelope struct {
-	Format     string        `json:"format"`
-	Version    int           `json:"version"`
-	Array      string        `json:"array"`
-	Consistent bool          `json:"consistent"`
-	FaultFree  bool          `json:"faultFree"`
-	Isolated   bool          `json:"isolated"`
-	Ambiguity  [][]faultJSON `json:"ambiguity"`
-	Classes    [][]int       `json:"classes,omitempty"`
-	Probes     []probeJSON   `json:"probes,omitempty"`
-	Rounds     []roundJSON   `json:"rounds,omitempty"`
+	Format     string          `json:"format"`
+	Version    int             `json:"version"`
+	Array      string          `json:"array"`
+	Consistent bool            `json:"consistent"`
+	FaultFree  bool            `json:"faultFree"`
+	Isolated   bool            `json:"isolated"`
+	Ambiguity  [][]faultJSON   `json:"ambiguity"`
+	Classes    [][]int         `json:"classes,omitempty"`
+	Probes     []ProbeStep     `json:"probes,omitempty"`
+	Rounds     []DiagnoseRound `json:"rounds,omitempty"`
 }
 
 // MarshalJSON renders the diagnosis in the versioned JSON wire format.
@@ -404,6 +391,8 @@ func (d *Diagnosis) MarshalJSON() ([]byte, error) {
 		Isolated:   d.Isolated,
 		Ambiguity:  make([][]faultJSON, len(d.Ambiguity)),
 		Classes:    d.Classes,
+		Probes:     d.Probes,
+		Rounds:     d.Rounds,
 	}
 	for i, fs := range d.Ambiguity {
 		fjs, err := faultsToJSON(d.a.g, fs)
@@ -411,12 +400,6 @@ func (d *Diagnosis) MarshalJSON() ([]byte, error) {
 			return nil, err
 		}
 		env.Ambiguity[i] = fjs
-	}
-	for _, p := range d.Probes {
-		env.Probes = append(env.Probes, probeJSON{Vector: p.Vector, WorstCase: p.WorstCase, Classes: p.Classes})
-	}
-	for _, r := range d.Rounds {
-		env.Rounds = append(env.Rounds, roundJSON{Vector: r.Vector, Before: r.Before, After: r.After})
 	}
 	return json.Marshal(env)
 }
@@ -467,14 +450,9 @@ func (d *Diagnosis) UnmarshalJSON(data []byte) error {
 	d.Isolated = env.Isolated
 	d.Ambiguity = amb
 	d.Classes = env.Classes
-	d.Probes = nil
-	for _, p := range env.Probes {
-		d.Probes = append(d.Probes, ProbeStep{Vector: p.Vector, WorstCase: p.WorstCase, Classes: p.Classes})
-	}
-	d.Rounds = nil
-	for _, r := range env.Rounds {
-		d.Rounds = append(d.Rounds, DiagnoseRound{Vector: r.Vector, Before: r.Before, After: r.After})
-	}
+	// An empty list decodes to nil: append to nil adds no backing array.
+	d.Probes = append([]ProbeStep(nil), env.Probes...)
+	d.Rounds = append([]DiagnoseRound(nil), env.Rounds...)
 	return nil
 }
 

@@ -23,17 +23,18 @@ type Observation struct {
 
 // DiagnoseRound records how one observation narrowed the ambiguity set.
 type DiagnoseRound struct {
-	Vector        int
-	Before, After int
+	Vector int `json:"vector"`
+	Before int `json:"before"`
+	After  int `json:"after"`
 }
 
 // ProbeStep is one entry of a suggested probe sequence: after observing
 // the sequence up to and including Vector, at most WorstCase candidates (in
 // Classes signature groups) remain possible, whatever the outcomes.
 type ProbeStep struct {
-	Vector    int
-	WorstCase int
-	Classes   int
+	Vector    int `json:"vector"`
+	WorstCase int `json:"worstCase"`
+	Classes   int `json:"classes"`
 }
 
 // Diagnosis is the outcome of Plan.Diagnose: the surviving candidate fault

@@ -282,67 +282,70 @@ func DefaultService() *Service {
 	return defaultService.s
 }
 
-// ServiceStats is a point-in-time snapshot of a service's counters.
+// ServiceStats is a point-in-time snapshot of a service's counters. Its
+// JSON form, with durations in nanoseconds, is the body of fpvad's
+// /v1/stats, which adds the daemon's own counters and the store.
 type ServiceStats struct {
 	// JobsSubmitted counts every accepted submission over the service's
 	// lifetime; the per-state fields partition the currently retained jobs
 	// (see WithJobRetention) by state.
-	JobsSubmitted int
-	JobsPending   int
-	JobsRunning   int
-	JobsDone      int
-	JobsFailed    int
-	JobsCanceled  int
+	JobsSubmitted int `json:"jobsSubmitted"`
+	JobsPending   int `json:"jobsPending"`
+	JobsRunning   int `json:"jobsRunning"`
+	JobsDone      int `json:"jobsDone"`
+	JobsFailed    int `json:"jobsFailed"`
+	JobsCanceled  int `json:"jobsCanceled"`
 
 	// CacheHits / CacheMisses count completed-plan lookups; CacheCoalesced
 	// counts generate jobs that attached to an in-flight identical solve
 	// (the singleflight path). CacheEntries/CacheBytes describe current
 	// occupancy against CacheCapBytes.
-	CacheHits      int
-	CacheMisses    int
-	CacheCoalesced int
-	CacheEntries   int
-	CacheBytes     int64
-	CacheCapBytes  int64
+	CacheHits      int   `json:"cacheHits"`
+	CacheMisses    int   `json:"cacheMisses"`
+	CacheCoalesced int   `json:"cacheCoalesced"`
+	CacheEntries   int   `json:"cacheEntries"`
+	CacheBytes     int64 `json:"cacheBytes"`
+	CacheCapBytes  int64 `json:"cacheCapBytes"`
 
 	// Solves counts generation pipelines actually executed (cache misses
 	// that ran to completion); SolverWall is their cumulative wall time.
-	Solves     int
-	SolverWall time.Duration
+	Solves     int           `json:"solves"`
+	SolverWall time.Duration `json:"solverWallNs"`
 
 	// Campaigns / CampaignWall account completed campaign jobs; Verifies
 	// counts completed verification jobs.
-	Campaigns    int
-	CampaignWall time.Duration
-	Verifies     int
+	Campaigns    int           `json:"campaigns"`
+	CampaignWall time.Duration `json:"campaignWallNs"`
+	Verifies     int           `json:"verifies"`
 
 	// Diagnoses / DiagnoseWall account completed diagnosis jobs.
 	// SigCacheHits / SigCacheMisses count signature-table lookups: a hit
 	// skips recompiling the candidate response matrix.
-	Diagnoses      int
-	DiagnoseWall   time.Duration
-	SigCacheHits   int
-	SigCacheMisses int
+	Diagnoses      int           `json:"diagnoses"`
+	DiagnoseWall   time.Duration `json:"diagnoseWallNs"`
+	SigCacheHits   int           `json:"sigCacheHits"`
+	SigCacheMisses int           `json:"sigCacheMisses"`
 
 	// CompileHits / CompileMisses count compiled-vector lookups, one per
 	// campaign, verify or diagnose job: a hit reuses vectors compiled for
 	// the same plan content, whichever copy of the plan the job was given.
-	CompileHits   int
-	CompileMisses int
+	CompileHits   int `json:"compileHits"`
+	CompileMisses int `json:"compileMisses"`
 
 	// JobsShed counts submissions rejected with ErrQueueFull by the
 	// WithMaxPending admission bound.
-	JobsShed int
+	JobsShed int `json:"jobsShed"`
 
 	// Store describes the durable plan store (WithCacheDir); its Mode is
-	// "" when no cache directory is configured.
-	Store StoreStats
+	// "" when no cache directory is configured. It is left out of the
+	// JSON form: fpvad serves it as an optional member.
+	Store StoreStats `json:"-"`
 
 	// Kinds partitions lifetime job counts by kind name ("generate",
 	// "campaign", "verify", "diagnose"). Submitted counts acceptances;
 	// Done / Failed / Canceled count terminal transitions, so their sum can
 	// trail Submitted by the jobs still in flight.
-	Kinds map[string]JobKindStats
+	Kinds map[string]JobKindStats `json:"kinds,omitempty"`
 
 	// SolverExecutor names where generate solves run ("in-process" or
 	// "subprocess"). The Worker* fields describe the subprocess pool and
@@ -351,13 +354,13 @@ type ServiceStats struct {
 	// WorkerRestarts counts crashes and kills recovered from, and
 	// WorkerKills the supervisor-initiated subset (deadline escalation,
 	// missed pings, memory limit, protocol violations).
-	SolverExecutor string
-	WorkerSlots    int
-	WorkersAlive   int
-	WorkersBusy    int
-	WorkerSpawns   int
-	WorkerRestarts int
-	WorkerKills    int
+	SolverExecutor string `json:"solverExecutor,omitempty"`
+	WorkerSlots    int    `json:"workerSlots,omitempty"`
+	WorkersAlive   int    `json:"workersAlive,omitempty"`
+	WorkersBusy    int    `json:"workersBusy,omitempty"`
+	WorkerSpawns   int    `json:"workerSpawns,omitempty"`
+	WorkerRestarts int    `json:"workerRestarts,omitempty"`
+	WorkerKills    int    `json:"workerKills,omitempty"`
 }
 
 // StoreStats is the public snapshot of the durable plan store behind
@@ -365,38 +368,38 @@ type ServiceStats struct {
 // when the store is healthy, and "degraded" (with Reason set) while it
 // runs memory-only after disk trouble.
 type StoreStats struct {
-	Mode   string
-	Reason string
+	Mode   string `json:"mode"`
+	Reason string `json:"reason,omitempty"`
 
-	Entries  int
-	Bytes    int64
-	CapBytes int64
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	CapBytes int64 `json:"capBytes"`
 
 	// Hits / Misses count disk lookups on memory-cache misses: a hit
 	// served a restarted (or memory-evicted) plan without re-solving.
-	Hits   int
-	Misses int
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
 
-	Writes        int
-	WriteErrors   int
-	SkippedWrites int
+	Writes        int `json:"writes"`
+	WriteErrors   int `json:"writeErrors"`
+	SkippedWrites int `json:"skippedWrites"`
 
-	ReadErrors  int
-	Quarantined int
-	Evictions   int
+	ReadErrors  int `json:"readErrors"`
+	Quarantined int `json:"quarantined"`
+	Evictions   int `json:"evictions"`
 
 	// Trips / Recoveries count transitions into and out of degraded
 	// memory-only mode.
-	Trips      int
-	Recoveries int
+	Trips      int `json:"trips"`
+	Recoveries int `json:"recoveries"`
 }
 
 // JobKindStats is the lifetime job accounting of one JobKind.
 type JobKindStats struct {
-	Submitted int
-	Done      int
-	Failed    int
-	Canceled  int
+	Submitted int `json:"submitted"`
+	Done      int `json:"done"`
+	Failed    int `json:"failed"`
+	Canceled  int `json:"canceled"`
 }
 
 // Stats returns a snapshot of the service counters.

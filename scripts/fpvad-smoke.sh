@@ -149,6 +149,11 @@ echo "== service stats"
 curl -fsS "$base/v1/stats" | tee "$tmp/stats.json" | grep -q '"solves": 1'
 grep -q '"diagnoses": 1' "$tmp/stats.json"
 grep -q '"diagnose"' "$tmp/stats.json"
+# The admission counters and the per-kind tallies ride next to the
+# service counters.
+grep -q '"authFailures": 0' "$tmp/stats.json"
+grep -q '"rateLimited": 0' "$tmp/stats.json"
+grep -q '"kinds"' "$tmp/stats.json"
 
 echo "== subprocess solver mode: same request, byte-identical plan"
 # A second daemon whose solves run in fpvaworker subprocesses. The plan it
