@@ -227,56 +227,29 @@ func (w *wireWriter) key(k string) {
 
 func (w *wireWriter) int(v int64) { w.b = strconv.AppendInt(w.b, v, 10) }
 
-const lowerHex = "0123456789abcdef"
-
-// string appends s quoted as encoding/json quotes it with HTML escaping on.
+// string appends s quoted as encoding/json quotes it. The strings a
+// generated plan holds (the format, vector names and kinds, the array
+// text) are printable ASCII and newlines with none of the characters
+// encoding/json escapes, and are copied with each newline written as \n;
+// any other string is quoted by json.Marshal.
 func (w *wireWriter) string(s string) {
-	b := append(w.b, '"')
+	n := len(w.b)
+	w.b = append(w.b, '"')
 	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', lowerHex[c>>4], lowerHex[c&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\n':
+			w.b = append(w.b, s[start:i]...)
+			w.b = append(w.b, '\\', 'n')
+			start = i + 1
+		case c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&':
+			q, _ := json.Marshal(s) // a string always marshals
+			w.b = append(w.b[:n], q...)
+			return
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', lowerHex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
 	}
-	b = append(b, s[start:]...)
-	w.b = append(b, '"')
+	w.b = append(w.b, s[start:]...)
+	w.b = append(w.b, '"')
 }
 
 // decodePlan decodes one plan from data, checking, in this order, the

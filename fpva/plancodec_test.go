@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // wireClass returns the codec sentinel err wraps, or nil.
@@ -398,6 +399,26 @@ func TestParseWireReadsEncoderLayouts(t *testing.T) {
 	ts.Stats.PathILPNonOptimal, ts.Stats.CutILPNonOptimal = 1, 2
 	ts.Stats.ILPSolves, ts.Stats.ILPNodes, ts.Stats.SolverWall = 3, 4, 5
 	plans["every omitempty member"] = &Plan{a: goldenPlan.a, ts: &ts}
+
+	// Every string these plans hold takes the string writer's copy path,
+	// which allocates nothing here; json.Marshal, the other path, always
+	// allocates.
+	if !raceEnabled {
+		w := wireWriter{b: make([]byte, 0, 1<<16)}
+		for name, p := range plans {
+			strs := []string{PlanFormat, grid.Marshal(p.a.g)}
+			for _, vecs := range [][]*sim.Vector{p.ts.PathVectors, p.ts.CutVectors, p.ts.LeakVectors} {
+				for _, v := range vecs {
+					strs = append(strs, v.Name, v.Kind.String())
+				}
+			}
+			for _, s := range strs {
+				if n := testing.AllocsPerRun(1, func() { w.b = w.b[:0]; w.string(s) }); n != 0 {
+					t.Errorf("%s: writing %q allocated %v times, want the copy path", name, s, n)
+				}
+			}
+		}
+	}
 
 	inputs := map[string][]byte{"golden file": golden}
 	for name, p := range plans {
