@@ -4,9 +4,9 @@ GO ?= go
 
 # Where `make bench-json` records the benchmark suite (bumped per PR so the
 # repo keeps its performance trajectory).
-BENCH_OUT ?= BENCH_pr23.json
+BENCH_OUT ?= BENCH_pr24.json
 # The previous recording, for `make bench-diff`.
-BENCH_PREV ?= BENCH_pr22.json
+BENCH_PREV ?= BENCH_pr23.json
 # The committed baseline `make bench-ci` gates against. It has its own
 # variable so that bumping BENCH_OUT does not move the CI gate.
 BENCH_BASE ?= BENCH_pr9.json
