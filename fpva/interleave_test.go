@@ -69,7 +69,8 @@ func TestCartesianProductOrder(t *testing.T) {
 
 // interleaveDims are the schedule's factors. Every schedule runs on a
 // fresh service built with one fault:
-//   - eio: a quarter of the plan store's entry reads and writes fail;
+//   - eio: a quarter of the plan store's entry reads, writes and
+//     mtime touches fail;
 //   - timeout: every job has a short WithJobTimeout;
 //   - ttl: terminal jobs expire after 1 ms;
 //   - cache1: the memory plan cache holds one plan, so the store behind
@@ -242,7 +243,7 @@ func runSchedule(t *testing.T, fx *interleaveFixture, seed uint64, fault string,
 			mu.Lock()
 			defer mu.Unlock()
 			switch op {
-			case store.OpCreateTemp, store.OpWrite, store.OpRename, store.OpRead:
+			case store.OpCreateTemp, store.OpWrite, store.OpChtimes, store.OpRename, store.OpRead:
 				if frng.IntN(4) == 0 {
 					return errors.New("injected EIO")
 				}

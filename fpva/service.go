@@ -542,9 +542,6 @@ func (s *Service) Close() error {
 		// this is a clean stop: idle workers get EOF on stdin and exit.
 		s.pool.Close()
 	}
-	if s.store != nil {
-		s.store.Close()
-	}
 	return nil
 }
 

@@ -3,9 +3,9 @@
 // digests (planKey already hashes the array wire bytes plus every
 // vector-shaping option), values are the plan's v1 wire encoding, and
 // the store's one promise is crash safety: a process killed at any
-// instant — mid-write, mid-evict, mid-compaction — leaves a directory
-// the next Open turns back into a consistent cache, quarantining
-// anything torn instead of serving it.
+// instant — mid-write, mid-evict — leaves a directory the next Open
+// turns back into a consistent cache, quarantining anything torn
+// instead of serving it.
 //
 // Layout under the root directory:
 //
@@ -15,11 +15,14 @@
 //	                   rename); leftovers here are crash debris and are
 //	                   removed on Open
 //	quarantine/        entries that failed verification, moved aside
-//	                   with a timestamp suffix for postmortems
-//	journal            append-only LRU log: "p <key> <len>" on write,
-//	                   "t <key>" on read, "d <key>" on eviction;
-//	                   replayed on Open, rewritten compact when it
-//	                   outgrows the live index
+//	                   with a sequence suffix for postmortems
+//
+// The directory is the store's only record. An entry's mtime is its
+// last use: the store sets it from its own clock when it writes the
+// entry and again on every hit, and Open rebuilds the LRU order from
+// the mtimes (ties by name). The clock is the store's, not the
+// kernel's, whose write stamps are tick-granular. Touches are not
+// fsynced, so a crash can lose recent recency, never an entry.
 //
 // The store degrades instead of failing: any write-path I/O error
 // (disk full, EIO) trips it into memory-only mode — every operation
@@ -33,6 +36,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 )
 
 // FS is the slice of the filesystem the store uses, injectable so tests
@@ -43,14 +47,13 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(path string) ([]os.DirEntry, error)
 	Open(path string) (File, error)
-	// OpenAppend opens path for appending, creating it if absent.
-	OpenAppend(path string) (File, error)
 	// CreateTemp creates a new unique file in dir (os.CreateTemp
 	// semantics: pattern's "*" is replaced by a random string).
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	Stat(path string) (os.FileInfo, error)
+	Chtimes(path string, atime, mtime time.Time) error
 }
 
 // File is the per-handle surface the store needs.
@@ -71,13 +74,13 @@ func OSFS() FS { return osFS{} }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(path string) ([]os.DirEntry, error)   { return os.ReadDir(path) }
 func (osFS) Open(path string) (File, error)               { return os.Open(path) }
-func (osFS) OpenAppend(path string) (File, error) {
-	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-}
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(path string) error                     { return os.Remove(path) }
 func (osFS) Stat(path string) (os.FileInfo, error)        { return os.Stat(path) }
+func (osFS) Chtimes(path string, atime, mtime time.Time) error {
+	return os.Chtimes(path, atime, mtime)
+}
 
 // Op names one FS operation for fault injection.
 type Op string
@@ -88,11 +91,11 @@ const (
 	OpMkdirAll   Op = "mkdirall"
 	OpReadDir    Op = "readdir"
 	OpOpen       Op = "open"
-	OpOpenAppend Op = "append"
 	OpCreateTemp Op = "createtemp"
 	OpRename     Op = "rename"
 	OpRemove     Op = "remove"
 	OpStat       Op = "stat"
+	OpChtimes    Op = "chtimes"
 	OpRead       Op = "read"
 	OpWrite      Op = "write"
 	OpSync       Op = "sync"
@@ -153,17 +156,6 @@ func (f *FaultFS) Open(path string) (File, error) {
 	return &faultFile{f: f, File: file}, nil
 }
 
-func (f *FaultFS) OpenAppend(path string) (File, error) {
-	if err := f.check(OpOpenAppend, path); err != nil {
-		return nil, err
-	}
-	file, err := f.Base.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{f: f, File: file}, nil
-}
-
 func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	if err := f.check(OpCreateTemp, dir); err != nil {
 		return nil, err
@@ -194,6 +186,13 @@ func (f *FaultFS) Stat(path string) (os.FileInfo, error) {
 		return nil, err
 	}
 	return f.Base.Stat(path)
+}
+
+func (f *FaultFS) Chtimes(path string, atime, mtime time.Time) error {
+	if err := f.check(OpChtimes, path); err != nil {
+		return err
+	}
+	return f.Base.Chtimes(path, atime, mtime)
 }
 
 // faultFile threads the hook through per-handle reads, writes and syncs.

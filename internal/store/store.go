@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,7 +47,8 @@ type Options struct {
 	CapBytes int64
 	// FS overrides the filesystem (default OSFS()).
 	FS FS
-	// Now overrides the clock used for probe backoff (default time.Now).
+	// Now overrides the clock (default time.Now). It times the probe
+	// backoff and stamps the entry mtimes that record recency.
 	Now func() time.Time
 	// BackoffMin / BackoffMax bound the degraded-mode re-probe interval
 	// (defaults DefaultBackoffMin / DefaultBackoffMax). The interval
@@ -61,7 +64,7 @@ type Stats struct {
 	Reason string
 
 	// Entries / Bytes / CapBytes describe current occupancy (payload
-	// bytes, excluding headers and journal).
+	// bytes, excluding headers).
 	Entries  int
 	Bytes    int64
 	CapBytes int64
@@ -124,14 +127,12 @@ type Store struct {
 	backoffMin time.Duration
 	backoffMax time.Duration
 
-	mu           sync.Mutex
-	init         bool
-	journal      File // open append handle; nil while degraded or before init
-	journalLines int
-	ll           *list.List // front = most recently used; values are *entry
-	index        map[string]*list.Element
-	bytes        int64
-	qseq         int // quarantine filename suffix, for repeat offenders
+	mu    sync.Mutex
+	init  bool
+	ll    *list.List // front = most recently used; values are *entry
+	index map[string]*list.Element
+	bytes int64
+	qseq  int // quarantine filename suffix, for repeat offenders
 
 	degraded  bool
 	reason    string
@@ -201,6 +202,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Unlock()
 
 	payload, err := s.readEntry(key)
+	var terr error
+	if err == nil {
+		terr = s.touch(key)
+	}
 
 	s.mu.Lock()
 	e.pins--
@@ -217,9 +222,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.st.Hits++
 	if el2, ok := s.index[key]; ok { // may have been quarantined by a racing reader
 		s.ll.MoveToFront(el2)
-		s.appendJournalLocked("t " + key)
-		s.maybeCompactLocked() // read-heavy workloads journal touches too
 	}
+	s.touchedLocked(key, terr)
 	s.mu.Unlock()
 	return payload, true
 }
@@ -254,9 +258,14 @@ func (s *Store) Put(key string, val []byte) {
 		}
 	}
 	if el, ok := s.index[key]; ok {
+		e := el.Value.(*entry)
 		s.ll.MoveToFront(el)
-		s.appendJournalLocked("t " + key) // keep the durable LRU order honest
-		s.maybeCompactLocked()
+		e.pins++
+		s.mu.Unlock()
+		err := s.touch(key)
+		s.mu.Lock()
+		e.pins--
+		s.touchedLocked(key, err)
 		s.mu.Unlock()
 		return
 	}
@@ -284,9 +293,7 @@ func (s *Store) Put(key string, val []byte) {
 	s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(val))})
 	s.bytes += int64(len(val))
 	s.st.Writes++
-	s.appendJournalLocked("p " + key + " " + strconv.Itoa(len(val)))
 	victims := s.evictLocked()
-	s.maybeCompactLocked()
 	s.mu.Unlock()
 	for _, k := range victims {
 		s.fs.Remove(s.planPath(k))
@@ -310,25 +317,11 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close releases the journal handle. The store's durable state needs no
-// shutdown step — every mutation was already atomic.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal != nil {
-		err := s.journal.Close()
-		s.journal = nil
-		return err
-	}
-	return nil
-}
-
 // ---- paths and keys ----
 
 func (s *Store) plansDir() string      { return filepath.Join(s.dir, "plans") }
 func (s *Store) tmpDir() string        { return filepath.Join(s.dir, "tmp") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
-func (s *Store) journalPath() string   { return filepath.Join(s.dir, "journal") }
 func (s *Store) planPath(key string) string {
 	return filepath.Join(s.plansDir(), key+".plan")
 }
@@ -353,8 +346,7 @@ func validKey(key string) bool {
 
 // tripLocked switches the store into (or keeps it in) degraded
 // memory-only mode: reason recorded, probe scheduled with doubling
-// backoff, journal handle dropped so a recovered store reopens it
-// fresh.
+// backoff.
 func (s *Store) tripLocked(op string, err error) {
 	if s.degraded {
 		s.backoff *= 2
@@ -368,10 +360,6 @@ func (s *Store) tripLocked(op string, err error) {
 	}
 	s.reason = op + ": " + err.Error()
 	s.nextProbe = s.now().Add(s.backoff)
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
 }
 
 // recoverLocked leaves degraded mode after a successful probe write.
@@ -385,9 +373,9 @@ func (s *Store) recoverLocked() {
 
 // ---- entry I/O ----
 
-// writeEntry stages header+payload in tmp/, fsyncs, and renames into
-// place. Any failure removes the temp file and reports the error; the
-// caller decides whether that trips degraded mode.
+// writeEntry stages header+payload in tmp/, stamps its mtime, fsyncs,
+// and renames into place. Any failure removes the temp file and reports
+// the error; the caller decides whether that trips degraded mode.
 func (s *Store) writeEntry(key string, val []byte) error {
 	f, err := s.fs.CreateTemp(s.tmpDir(), key+".*")
 	if err != nil {
@@ -406,6 +394,10 @@ func (s *Store) writeEntry(key string, val []byte) error {
 		_, err = f.Write(val)
 	}
 	if err == nil {
+		now := s.now()
+		err = s.fs.Chtimes(tmpPath, now, now)
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -419,6 +411,24 @@ func (s *Store) writeEntry(key string, val []byte) error {
 		return err
 	}
 	return nil
+}
+
+// touch stamps a stored entry's file with the current time, the store's
+// only record of recency. The caller holds a pin on the entry, so
+// eviction cannot unlink the file, and does not hold s.mu. The stamp is
+// not fsynced: a crash can lose recent recency, never an entry.
+func (s *Store) touch(key string) error {
+	now := s.now()
+	return s.fs.Chtimes(s.planPath(key), now, now)
+}
+
+// touchedLocked trips degraded mode on a failed touch, as on a failed
+// write: it is the cheapest early warning of a sick disk.
+func (s *Store) touchedLocked(key string, err error) {
+	if err != nil {
+		s.st.WriteErrors++
+		s.tripLocked("touch "+key, err)
+	}
 }
 
 // readEntry reads and verifies one entry. Verification failures return
@@ -477,7 +487,6 @@ func (s *Store) quarantineLocked(key string) {
 		s.bytes -= el.Value.(*entry).size
 		s.ll.Remove(el)
 		delete(s.index, key)
-		s.appendJournalLocked("d " + key)
 	}
 	s.st.Quarantined++
 	s.qseq++
@@ -504,7 +513,6 @@ func (s *Store) evictLocked() []string {
 			delete(s.index, e.key)
 			s.bytes -= e.size
 			s.st.Evictions++
-			s.appendJournalLocked("d " + e.key)
 			victims = append(victims, e.key)
 		}
 		el = prev
@@ -512,88 +520,13 @@ func (s *Store) evictLocked() []string {
 	return victims
 }
 
-// ---- journal ----
-
-// appendJournalLocked appends one op line, opening the handle on first
-// use. Journal appends are not fsynced — losing recent LRU ordering to
-// a crash is harmless (entries themselves are synced, and unjournaled
-// files are adopted on Open) — but an append error still trips
-// degraded mode: it is the cheapest early warning of a sick disk.
-func (s *Store) appendJournalLocked(line string) {
-	if s.journal == nil {
-		f, err := s.fs.OpenAppend(s.journalPath())
-		if err != nil {
-			s.st.WriteErrors++
-			s.tripLocked("journal open", err)
-			return
-		}
-		s.journal = f
-	}
-	if _, err := io.WriteString(s.journal, line+"\n"); err != nil {
-		s.st.WriteErrors++
-		s.tripLocked("journal append", err)
-		return
-	}
-	s.journalLines++
-}
-
-// maybeCompactLocked rewrites the journal as pure "p" lines once it
-// outgrows the live index by 4x (plus slack), bounding replay work.
-// The rewrite is itself atomic: temp file, sync, rename, reopen.
-func (s *Store) maybeCompactLocked() {
-	if s.journalLines <= 4*len(s.index)+64 {
-		return
-	}
-	if err := s.compactLocked(); err != nil {
-		s.st.WriteErrors++
-		s.tripLocked("journal compact", err)
-	}
-}
-
-// compactLocked writes the index, LRU-oldest first, as a fresh journal.
-// Replay pushes each "p" to the front, so oldest-first reproduces the
-// exact LRU order.
-func (s *Store) compactLocked() error {
-	f, err := s.fs.CreateTemp(s.tmpDir(), "journal.*")
-	if err != nil {
-		return err
-	}
-	tmpPath := f.Name()
-	var buf bytes.Buffer
-	for el := s.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		buf.WriteString("p " + e.key + " " + strconv.FormatInt(e.size, 10) + "\n")
-	}
-	_, err = f.Write(buf.Bytes())
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		if s.journal != nil {
-			s.journal.Close()
-			s.journal = nil
-		}
-		err = s.fs.Rename(tmpPath, s.journalPath())
-	}
-	if err != nil {
-		s.fs.Remove(tmpPath)
-		return err
-	}
-	s.journalLines = len(s.index)
-	// Reopen lazily on the next append.
-	return nil
-}
-
 // ---- open-time recovery ----
 
 // initLocked rebuilds the in-memory index from disk: directories
-// ensured, crash debris in tmp/ cleared, the journal replayed, every
-// on-disk entry's header verified (torn entries quarantined,
-// unjournaled survivors adopted, journal ghosts dropped), the journal
-// rewritten compact, and the byte budget re-enforced.
+// ensured, crash debris in tmp/ and an older build's journal removed,
+// every entry's header verified (torn entries quarantined), the LRU
+// order rebuilt from the entries' mtimes, and the byte budget
+// re-enforced.
 func (s *Store) initLocked() error {
 	for _, d := range []string{s.dir, s.plansDir(), s.tmpDir(), s.quarantineDir()} {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
@@ -606,106 +539,42 @@ func (s *Store) initLocked() error {
 			s.fs.Remove(filepath.Join(s.tmpDir(), de.Name()))
 		}
 	}
+	// Older builds kept the LRU order in an append-only journal.
+	s.fs.Remove(filepath.Join(s.dir, "journal"))
 	s.ll.Init()
 	clear(s.index)
 	s.bytes = 0
 
-	// Replay the journal for LRU order and sizes. A torn final line
-	// (crash mid-append) parses as garbage and is skipped.
-	if f, err := s.fs.Open(s.journalPath()); err == nil {
-		b, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-		for _, line := range strings.Split(string(b), "\n") {
-			fields := strings.Fields(line)
-			if len(fields) < 2 || !validKey(fields[1]) {
-				continue
-			}
-			key := fields[1]
-			switch fields[0] {
-			case "p":
-				if len(fields) != 3 {
-					continue
-				}
-				size, perr := strconv.ParseInt(fields[2], 10, 64)
-				if perr != nil || size <= 0 {
-					continue
-				}
-				if el, ok := s.index[key]; ok {
-					s.bytes += size - el.Value.(*entry).size
-					el.Value.(*entry).size = size
-					s.ll.MoveToFront(el)
-				} else {
-					s.index[key] = s.ll.PushFront(&entry{key: key, size: size})
-					s.bytes += size
-				}
-			case "t":
-				if el, ok := s.index[key]; ok {
-					s.ll.MoveToFront(el)
-				}
-			case "d":
-				if el, ok := s.index[key]; ok {
-					s.bytes -= el.Value.(*entry).size
-					s.ll.Remove(el)
-					delete(s.index, key)
-				}
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-
-	// Reconcile the replayed index against the directory. ReadDir
-	// returns names sorted, so recovery order is deterministic.
-	onDisk := make(map[string]bool)
 	ents, err := s.fs.ReadDir(s.plansDir())
 	if err != nil {
 		return err
 	}
+	type found struct {
+		key   string
+		size  int64
+		mtime time.Time
+	}
+	var live []found
 	for _, de := range ents {
-		name := de.Name()
-		key, ok := strings.CutSuffix(name, ".plan")
+		key, ok := strings.CutSuffix(de.Name(), ".plan")
 		if !ok || !validKey(key) {
 			continue
 		}
-		size, verr := s.verifyEntryHeader(key)
+		size, mtime, verr := s.verifyEntryHeader(key)
 		if verr != nil {
 			// Torn or foreign: out of the live set, into quarantine.
 			s.quarantineLocked(key)
 			continue
 		}
-		onDisk[key] = true
-		if el, ok := s.index[key]; ok {
-			if e := el.Value.(*entry); e.size != size {
-				s.bytes += size - e.size
-				e.size = size
-			}
-		} else {
-			// Present but unjournaled: the crash hit between rename and
-			// journal append. Adopt it at the cold end of the LRU.
-			s.index[key] = s.ll.PushBack(&entry{key: key, size: size})
-			s.bytes += size
-		}
+		live = append(live, found{key, size, mtime})
 	}
-	// Journal ghosts: logged but no file (a crash between eviction's
-	// journal append and the unlink — or the reverse order, same cure).
-	var ghosts []*list.Element
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		if !onDisk[el.Value.(*entry).key] {
-			ghosts = append(ghosts, el)
-		}
-	}
-	for _, el := range ghosts {
-		e := el.Value.(*entry)
-		s.bytes -= e.size
-		s.ll.Remove(el)
-		delete(s.index, e.key)
-	}
-
-	if err := s.compactLocked(); err != nil {
-		return err
+	// Least recently used first, so the newest ends up at the front.
+	slices.SortFunc(live, func(a, b found) int {
+		return cmp.Or(a.mtime.Compare(b.mtime), strings.Compare(a.key, b.key))
+	})
+	for _, f := range live {
+		s.index[f.key] = s.ll.PushFront(&entry{key: f.key, size: f.size})
+		s.bytes += f.size
 	}
 	victims := s.evictLocked()
 	for _, k := range victims {
@@ -717,37 +586,38 @@ func (s *Store) initLocked() error {
 
 // verifyEntryHeader checks an entry's header line and on-disk size
 // without hashing the payload (the cheap open-time pass; the full
-// checksum runs on every Get). It returns the payload length.
-func (s *Store) verifyEntryHeader(key string) (int64, error) {
+// checksum runs on every Get). It returns the payload length and the
+// file's mtime, the entry's last use.
+func (s *Store) verifyEntryHeader(key string) (int64, time.Time, error) {
 	f, err := s.fs.Open(s.planPath(key))
 	if err != nil {
-		return 0, err
+		return 0, time.Time{}, err
 	}
 	defer f.Close()
 	head := make([]byte, maxHeaderBytes)
 	n, err := io.ReadFull(f, head)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, err
+		return 0, time.Time{}, err
 	}
 	head = head[:n]
 	idx := bytes.IndexByte(head, '\n')
 	if idx < 0 {
-		return 0, fmt.Errorf("%w: %s: no header line", errCorrupt, key)
+		return 0, time.Time{}, fmt.Errorf("%w: %s: no header line", errCorrupt, key)
 	}
 	var h header
 	if err := json.Unmarshal(head[:idx], &h); err != nil {
-		return 0, fmt.Errorf("%w: %s: bad header: %v", errCorrupt, key, err)
+		return 0, time.Time{}, fmt.Errorf("%w: %s: bad header: %v", errCorrupt, key, err)
 	}
 	if h.Format != entryFormat || h.Version != entryVersion || h.Key != key || h.Len <= 0 {
-		return 0, fmt.Errorf("%w: %s: header mismatch", errCorrupt, key)
+		return 0, time.Time{}, fmt.Errorf("%w: %s: header mismatch", errCorrupt, key)
 	}
 	fi, err := s.fs.Stat(s.planPath(key))
 	if err != nil {
-		return 0, err
+		return 0, time.Time{}, err
 	}
 	if fi.Size() != int64(idx+1)+h.Len {
-		return 0, fmt.Errorf("%w: %s: truncated: file is %d bytes, want %d",
+		return 0, time.Time{}, fmt.Errorf("%w: %s: truncated: file is %d bytes, want %d",
 			errCorrupt, key, fi.Size(), int64(idx+1)+h.Len)
 	}
-	return h.Len, nil
+	return h.Len, fi.ModTime(), nil
 }
