@@ -116,8 +116,8 @@ type options struct {
 func defaultOptions() options {
 	return options{
 		addr:           "127.0.0.1:8471",
-		cacheMB:        64,
-		cacheDirMB:     256,
+		cacheMB:        fpva.DefaultCacheBytes >> 20,
+		cacheDirMB:     fpva.DefaultDiskCacheBytes >> 20,
 		solverExecName: "in-process",
 	}
 }
@@ -193,7 +193,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&opt.workers, "workers", opt.workers, "concurrent jobs (0 = all CPUs)")
 	fs.IntVar(&opt.cacheMB, "cache-mb", opt.cacheMB, "plan-cache byte budget in MiB (0 disables caching)")
 	fs.StringVar(&opt.cacheDir, "cache-dir", opt.cacheDir, "persist the plan cache in this directory (empty = memory only)")
-	fs.IntVar(&opt.cacheDirMB, "cache-dir-mb", opt.cacheDirMB, "on-disk plan-store byte budget in MiB")
+	fs.IntVar(&opt.cacheDirMB, "cache-dir-mb", opt.cacheDirMB, "on-disk plan-store byte budget in MiB (0 keeps the default)")
 	fs.StringVar(&opt.pprofAddr, "pprof-addr", opt.pprofAddr, "serve net/http/pprof on this loopback address (empty = disabled)")
 	fs.StringVar(&opt.solverExecName, "solver-exec", opt.solverExecName, "solver executor: in-process or subprocess")
 	fs.IntVar(&opt.solverWorkers, "solver-workers", opt.solverWorkers, "subprocess-mode worker pool size (0 = the -workers value); the request field generate.solverWorkers sets branch-and-bound workers instead")
@@ -327,7 +327,7 @@ func run(ctx context.Context, w io.Writer, opt options) error {
 	fmt.Fprintf(w, "fpvad: listening on http://%s (%d workers, %d MiB plan cache, %v solver)\n",
 		ln.Addr(), svc.Workers(), opt.cacheMB, opt.solverExec)
 	if opt.cacheDir != "" {
-		fmt.Fprintf(w, "fpvad: durable plan store in %s (%d MiB)\n", opt.cacheDir, opt.cacheDirMB)
+		fmt.Fprintf(w, "fpvad: durable plan store in %s (%d MiB)\n", opt.cacheDir, svc.Stats().Store.CapBytes>>20)
 	}
 	if adm != nil {
 		fmt.Fprintf(w, "fpvad: admission control: auth=%v rate=%g/s burst=%d\n",

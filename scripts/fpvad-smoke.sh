@@ -206,15 +206,18 @@ grep -q "shut down" "$tmp/fpvad.log"
 
 echo "== restart persistence: -cache-dir survives kill -9"
 cache="$tmp/cache"
-"$tmp/fpvad" -addr 127.0.0.1:0 -cache-dir "$cache" >"$tmp/fpvad-dur.log" 2>&1 &
+# -cache-dir-mb 0 keeps the default budget, and the startup line says so.
+"$tmp/fpvad" -addr 127.0.0.1:0 -cache-dir "$cache" -cache-dir-mb 0 >"$tmp/fpvad-dur.log" 2>&1 &
 dur_pid=$!
 dur_base=$(wait_base "$tmp/fpvad-dur.log")
-grep -q "durable plan store" "$tmp/fpvad-dur.log"
+grep -q "durable plan store in .* (256 MiB)" "$tmp/fpvad-dur.log"
 curl -fsS -X POST --data-binary @"$tmp/gen-req.json" "$dur_base/v1/jobs" >"$tmp/dur-submit.json"
 durid=$(tr -d ' \n' <"$tmp/dur-submit.json" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 curl -fsSN "$dur_base/v1/jobs/$durid/events" >/dev/null # wait for the solve
 curl -fsS "$dur_base/v1/jobs/$durid/plan" >"$tmp/dur-plan-1.json"
-curl -fsS "$dur_base/v1/stats" | grep -q '"mode": "ok"'
+curl -fsS "$dur_base/v1/stats" >"$tmp/dur-stats-1.json"
+grep -q '"mode": "ok"' "$tmp/dur-stats-1.json"
+grep -q '"capBytes": 268435456' "$tmp/dur-stats-1.json"
 # Fire another solve and SIGKILL the daemon mid-workload: no shutdown
 # hooks run, so this is the crash-safety path, not the clean one.
 go run "$tmp/mkarray.go" 5 5 >"$tmp/array5.json"
