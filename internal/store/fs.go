@@ -19,10 +19,11 @@
 //
 // The directory is the store's only record. An entry's mtime is its
 // last use: the store sets it from its own clock when it writes the
-// entry and again on every hit, and Open rebuilds the LRU order from
-// the mtimes (ties by name). The clock is the store's, not the
-// kernel's, whose write stamps are tick-granular. Touches are not
-// fsynced, so a crash can lose recent recency, never an entry.
+// entry and again on every Get hit or repeat Put, and Open rebuilds
+// the LRU order from the mtimes (ties by name). The clock is the
+// store's, not the kernel's, whose write stamps are tick-granular.
+// Touches are not fsynced, so a crash can lose recent recency, never
+// an entry.
 //
 // The store degrades instead of failing: any write-path I/O error
 // (disk full, EIO) trips it into memory-only mode — every operation

@@ -185,10 +185,10 @@ func TestJournalGhostDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := Open(Options{Dir: dir})
 	k := key("ghost")
-	s.Put(k, []byte("logged then lost"))
-	// The file went while the store was down (a crashed store's eviction
-	// unlinked it, or an operator did): the directory is the only record,
-	// so no entry for it survives the reopen.
+	s.Put(k, []byte("stored then lost"))
+	// The file goes behind the store's back while its index still lists
+	// the entry. The directory is the only record, so the reopened store
+	// has no entry for it.
 	if err := os.Remove(filepath.Join(dir, "plans", k+".plan")); err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +253,8 @@ func TestLRUOrderSurvivesReopen(t *testing.T) {
 }
 
 // TestOldJournalRemoved: a directory an older build wrote still holds
-// its journal file; it opens with every entry, mtime-ordered, and the
-// journal is gone. The journal's "d" line for an entry whose file is
-// there is ignored.
+// its journal file. It opens with every entry and without the journal,
+// whose "d" line for an entry whose file is there is ignored.
 func TestOldJournalRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := Open(Options{Dir: dir})
