@@ -4,9 +4,9 @@ GO ?= go
 
 # Where `make bench-json` records the benchmark suite (bumped per PR so the
 # repo keeps its performance trajectory).
-BENCH_OUT ?= BENCH_pr25.json
+BENCH_OUT ?= BENCH_pr26.json
 # The previous recording, for `make bench-diff`.
-BENCH_PREV ?= BENCH_pr24.json
+BENCH_PREV ?= BENCH_pr25.json
 # The committed baseline `make bench-ci` gates against. It has its own
 # variable so that bumping BENCH_OUT does not move the CI gate.
 BENCH_BASE ?= BENCH_pr9.json
@@ -110,8 +110,10 @@ smoke-daemon:
 
 # Fault-injection suite under the race detector: the durable plan
 # store's crash/corruption/EIO tests (including the kill -9 child-
-# process rounds), the service-level store and admission tests, the
-# job service under seeded random interleavings of submit, cancel,
+# process rounds), the store against its reference model over seeded
+# sequences of puts, gets, reopens, faults and clock steps (a new seed
+# per run), the shared LRU, the service-level store and admission
+# tests, the job service under seeded random interleavings of submit, cancel,
 # forget and wait at 1, 2 and 4 processors (a new seed per run),
 # repeated bursts of campaign, verify and diagnose jobs racing to build
 # and extend one shared compiled entry, the block sweep's workers
@@ -120,6 +122,8 @@ smoke-daemon:
 # processors, where incumbents arrive in a different order every run.
 chaos:
 	$(GO) test -race -count 2 ./internal/store
+	$(GO) test -race -count 10 -run TestStoreModel ./internal/store
+	$(GO) test -race -count 10 ./internal/lru
 	$(GO) test -race -run 'TestCacheDir|TestStoreDegraded|TestMaxPending|TestJobTimeout' ./fpva
 	$(GO) test -race -count 10 -cpu 1,2,4 -run TestServiceInterleavings ./fpva
 	$(GO) test -race -count 10 -run 'TestSharedCompileBurst' ./fpva

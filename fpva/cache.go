@@ -1,7 +1,6 @@
 package fpva
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -30,13 +29,18 @@ const generatorVersion = 2
 // (appendArray), the generator and codec versions, and every option that
 // can change the generated vectors. Worker counts and progress callbacks
 // are deliberately excluded — results are bit-identical across worker
-// counts, so they must share a cache entry.
+// counts, so they must share a cache entry. So are engine names for one
+// generator: PathEngineSerpentine keys as PathEngineAuto.
 func planKey(a *Array, cfg genConfig) string {
+	path := cfg.pathEngine
+	if path == PathEngineSerpentine {
+		path = PathEngineAuto
+	}
 	h := sha256.New()
 	h.Write(appendArray(nil, grid.Marshal(a.g), a.g))
 	fmt.Fprintf(h, "\x00direct=%t block=%d skipLeak=%t path=%d cut=%d v=%d gen=%d",
 		cfg.direct, cfg.blockSize, cfg.skipLeak,
-		int(cfg.pathEngine), int(cfg.cutEngine), CodecVersion, generatorVersion)
+		int(path), int(cfg.cutEngine), CodecVersion, generatorVersion)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -136,58 +140,4 @@ func compiledKey(p *Plan) string {
 	}
 	sum := sha256.Sum256(b)
 	return string(sum[:])
-}
-
-// lru is a cost-weighted least-recently-used map: put evicts from the
-// cold end until the total cost fits the budget, and a value dearer than
-// the whole budget is not kept. The service keeps two: plans charged by
-// wire length, and compiled entries charged by artifacts held. It is not
-// goroutine-safe; the owning Service serializes access under its mutex.
-type lru[V any] struct {
-	capCost, cost int64
-	ll            list.List // front = most recently used; values are *lruItem[V]
-	index         map[string]*list.Element
-}
-
-type lruItem[V any] struct {
-	key  string
-	val  V
-	cost int64
-}
-
-func newLRU[V any](capCost int64) *lru[V] {
-	return &lru[V]{capCost: capCost, index: make(map[string]*list.Element)}
-}
-
-// get returns the value under key, marking it most recently used.
-func (c *lru[V]) get(key string) (V, bool) {
-	el, ok := c.index[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem[V]).val, true
-}
-
-// put stores v under key at the given cost, replacing any value there,
-// and evicts least recently used values until the budget holds.
-func (c *lru[V]) put(key string, v V, cost int64) {
-	if el, ok := c.index[key]; ok {
-		c.remove(el)
-	}
-	if cost > c.capCost {
-		return
-	}
-	c.index[key] = c.ll.PushFront(&lruItem[V]{key: key, val: v, cost: cost})
-	c.cost += cost
-	for c.cost > c.capCost {
-		c.remove(c.ll.Back())
-	}
-}
-
-func (c *lru[V]) remove(el *list.Element) {
-	it := c.ll.Remove(el).(*lruItem[V])
-	delete(c.index, it.key)
-	c.cost -= it.cost
 }

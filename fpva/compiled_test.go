@@ -1,6 +1,7 @@
 package fpva
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"testing"
@@ -76,6 +77,32 @@ func TestPlanKeyPortOrder(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Solves != 2 {
 		t.Errorf("two port orders cost %d solves, want 2", st.Solves)
+	}
+}
+
+// TestPlanKeySerpentineIsAuto: PathEngineAuto and PathEngineSerpentine
+// run the same generator, so a serpentine request after a default one is a
+// cache hit on the same bytes.
+func TestPlanKeySerpentineIsAuto(t *testing.T) {
+	svc := NewService()
+	defer svc.Close()
+	a, err := NewArray(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := generateOn(t, svc, a).PlanBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serp, err := generateOn(t, svc, a, WithPathEngine(PathEngineSerpentine)).PlanBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Solves != 1 || st.CacheHits != 1 {
+		t.Errorf("a default and a serpentine request cost %d solves and %d cache hits, want 1 and 1", st.Solves, st.CacheHits)
+	}
+	if !bytes.Equal(serp, auto) {
+		t.Error("the serpentine request served other bytes than the default one")
 	}
 }
 
@@ -177,10 +204,10 @@ func TestCompiledCacheBound(t *testing.T) {
 		svc.mu.Lock()
 		c := svc.compiled
 		sum := int64(0)
-		for el := c.ll.Front(); el != nil; el = el.Next() {
-			sum += el.Value.(*lruItem[*compiled]).val.cost()
+		for _, e := range c.All() {
+			sum += e.cost()
 		}
-		cost, capCost := c.cost, c.capCost
+		cost, capCost := c.Cost(), c.Cap()
 		svc.mu.Unlock()
 		if cost > capCost || sum != cost {
 			t.Fatalf("after maxDoubles %d: cache charged %d (entries hold %d), cap %d", n, cost, sum, capCost)

@@ -70,7 +70,8 @@ func TestCartesianProductOrder(t *testing.T) {
 // interleaveDims are the schedule's factors. Every schedule runs on a
 // fresh service built with one fault:
 //   - eio: a quarter of the plan store's entry reads, writes and
-//     mtime touches fail;
+//     mtime touches fail until the schedule settles, and the memory plan
+//     cache holds one plan, so the store serves read-backs;
 //   - timeout: every job has a short WithJobTimeout;
 //   - ttl: terminal jobs expire after 1 ms;
 //   - cache1: the memory plan cache holds one plan, so the store behind
@@ -80,6 +81,9 @@ var interleaveDims = map[string][]string{
 	"kind":  {"generate", "campaign", "verify", "diagnose"},
 	"fault": {"none", "eio", "timeout", "ttl", "cache1"},
 }
+
+// eioBackoffMax caps the eio store's probe backoff.
+const eioBackoffMax = 10 * time.Millisecond
 
 // interleaveRuns numbers the invocations of TestServiceInterleavings in
 // this process; each one uses the next seed.
@@ -184,9 +188,10 @@ type step struct {
 // a fault form one schedule, which two goroutines run on a fresh service,
 // one taking the even steps and one the odd. Once a schedule settles, every
 // job has reached exactly one terminal state with the reference result,
-// the counters agree with the jobs, N identical generate jobs on a fresh
-// key cost one solve, forgotten and expired jobs are collectable, and the
-// idle service holds no goroutines.
+// the counters agree with the jobs, a healed store comes back on the first
+// due probe although it names a stored key, N identical generate jobs on a
+// fresh key cost one solve, forgotten and expired jobs are collectable, and
+// the idle service holds no goroutines.
 func TestServiceInterleavings(t *testing.T) {
 	seed := interleaveRuns.Add(1)
 	fx := newInterleaveFixture(t)
@@ -223,7 +228,8 @@ func runSchedule(t *testing.T, fx *interleaveFixture, seed uint64, fault string,
 	ffs := &store.FaultFS{Base: store.OSFS()}
 	switch fault {
 	case "eio":
-		opts = append(opts, withStoreHooks(ffs, time.Now, time.Millisecond, 10*time.Millisecond))
+		opts = append(opts, withStoreHooks(ffs, time.Now, time.Millisecond, eioBackoffMax),
+			WithCacheBytes(int64(fx.maxLen+256)))
 	case "timeout":
 		// 0.5 to 4 ms: long enough for some jobs, too short for others.
 		opts = append(opts, WithJobTimeout(time.Duration(1+seed%8)*500*time.Microsecond))
@@ -235,8 +241,11 @@ func runSchedule(t *testing.T, fx *interleaveFixture, seed uint64, fault string,
 	s := &schedule{t: t, fx: fx, svc: NewService(opts...), fault: fault, seed: seed, input: make(map[*Job]int)}
 	defer s.svc.Close()
 	if fault == "eio" {
-		// The store opened healthy; from now on a quarter of its entry
-		// reads and writes fail.
+		// The store opened healthy and holds every generate input's plan;
+		// from now on a quarter of its entry reads and writes fail.
+		for i := range fx.plans {
+			s.run("generate", i)
+		}
 		var mu sync.Mutex
 		frng := rand.New(rand.NewPCG(seed, 0xe10))
 		ffs.SetHook(func(op store.Op, _ string) error {
@@ -268,6 +277,10 @@ func runSchedule(t *testing.T, fx *interleaveFixture, seed uint64, fault string,
 	}
 	s.settle(s.jobs)
 	s.idle(baseline)
+	if fault == "eio" {
+		s.heal(ffs)
+		s.idle(baseline)
+	}
 	s.burst()
 	s.idle(baseline)
 	s.checkCounters()
@@ -320,6 +333,40 @@ func (s *schedule) submit(kind string, i int) (*Job, error) {
 	s.input[j] = i
 	s.mu.Unlock()
 	return j, nil
+}
+
+// run submits one job and settles it.
+func (s *schedule) run(kind string, i int) {
+	j, err := s.submit(kind, i)
+	if err != nil {
+		s.t.Fatalf("seed %d: submit %s: %v", s.seed, kind, err)
+	}
+	s.settle([]*Job{j})
+}
+
+// heal lets the eio schedule's disk recover and waits past the longest
+// probe backoff. The store holds every generate input and memory holds
+// one plan, so of one generate job per input at least one misses memory,
+// and the first such job's write-through Put is the due probe. Its key is
+// stored, and the probe must bring the store back all the same. The next
+// job on an input memory no longer holds is then a store hit.
+func (s *schedule) heal(ffs *store.FaultFS) {
+	ffs.SetHook(nil)
+	time.Sleep(2 * eioBackoffMax)
+	for i := range s.fx.plans {
+		s.run("generate", i)
+	}
+	st := s.svc.Stats()
+	if st.Store.Mode != "ok" || st.Store.Trips != st.Store.Recoveries {
+		s.t.Errorf("seed %d: after the disk healed, generate jobs on stored keys left the store %s (%s) with %d trips and %d recoveries",
+			s.seed, st.Store.Mode, st.Store.Reason, st.Store.Trips, st.Store.Recoveries)
+	}
+	s.run("generate", 0)
+	after := s.svc.Stats()
+	if hits, solves := after.Store.Hits-st.Store.Hits, after.Solves-st.Solves; hits != 1 || solves != 0 {
+		s.t.Errorf("seed %d: a generate job on a stored plan that memory dropped took %d store hits and %d solves, want 1 and 0",
+			s.seed, hits, solves)
+	}
 }
 
 // wait blocks until the job is terminal and reports whether it got there;

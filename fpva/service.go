@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/store"
 	"repro/internal/workerpool"
 )
@@ -53,8 +54,8 @@ type Service struct {
 	store *store.Store
 
 	mu       sync.Mutex
-	cache    *lru[cacheEntry] // plans by planKey; nil when caching is disabled
-	compiled *lru[*compiled]  // compiled plan content by compiledKey
+	cache    *lru.Cache[cacheEntry] // plans by planKey; nil when caching is disabled
+	compiled *lru.Cache[*compiled]  // compiled plan content by compiledKey
 	flights  map[string]*flight
 	jobs     map[string]*Job
 	order    []*Job // submission order, for Jobs()
@@ -241,7 +242,7 @@ func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
 		workers:       cfg.workers,
 		sem:           make(chan struct{}, cfg.workers),
-		compiled:      newLRU[*compiled](maxCompiledArtifacts),
+		compiled:      lru.New[*compiled](maxCompiledArtifacts),
 		flights:       make(map[string]*flight),
 		jobs:          make(map[string]*Job),
 		retain:        cfg.retain,
@@ -252,7 +253,7 @@ func NewService(opts ...ServiceOption) *Service {
 		maxActive:     cfg.maxActive,
 	}
 	if cfg.cacheBytes > 0 {
-		s.cache = newLRU[cacheEntry](cfg.cacheBytes)
+		s.cache = lru.New[cacheEntry](cfg.cacheBytes)
 	}
 	if cfg.cacheDir != "" {
 		if cfg.diskBytes == 0 {
@@ -425,9 +426,9 @@ func (s *Service) Stats() ServiceStats {
 		}
 	}
 	if s.cache != nil {
-		st.CacheEntries = len(s.cache.index)
-		st.CacheBytes = s.cache.cost
-		st.CacheCapBytes = s.cache.capCost
+		st.CacheEntries = s.cache.Len()
+		st.CacheBytes = s.cache.Cost()
+		st.CacheCapBytes = s.cache.Cap()
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -753,7 +754,7 @@ func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation
 func (s *Service) bind(p *Plan) (*Plan, error) {
 	key := compiledKey(p)
 	s.mu.Lock()
-	e, ok := s.compiled.get(key)
+	e, ok := s.compiled.Get(key)
 	if ok {
 		s.compileHits++
 	} else {
@@ -766,9 +767,9 @@ func (s *Service) bind(p *Plan) (*Plan, error) {
 			return nil, err
 		}
 		s.mu.Lock()
-		if e, ok = s.compiled.get(key); !ok {
+		if e, ok = s.compiled.Get(key); !ok {
 			e = c
-			s.compiled.put(key, e, 1)
+			s.compiled.Put(key, e, 1)
 		}
 		s.mu.Unlock()
 	}
@@ -786,8 +787,8 @@ func (s *Service) noteSignatures(e *compiled, hit bool) {
 		return
 	}
 	s.sigMisses++
-	if cur, ok := s.compiled.get(e.key); ok && cur == e {
-		s.compiled.put(e.key, e, e.cost())
+	if cur, ok := s.compiled.Get(e.key); ok && cur == e {
+		s.compiled.Put(e.key, e, e.cost())
 	}
 }
 
@@ -826,7 +827,7 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 	}
 	s.mu.Lock()
 	if s.cache != nil {
-		if ent, ok := s.cache.get(key); ok {
+		if ent, ok := s.cache.Get(key); ok {
 			s.hits++
 			s.mu.Unlock()
 			j.setRunning()
@@ -954,7 +955,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 			if plan, derr := decodePlan(wire); derr == nil {
 				s.mu.Lock()
 				if s.cache != nil {
-					s.cache.put(key, cacheEntry{wire: wire}, int64(len(wire)))
+					s.cache.Put(key, cacheEntry{wire: wire}, int64(len(wire)))
 				}
 				s.mu.Unlock()
 				fl.wire = wire
@@ -1031,7 +1032,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 		if plan.geometry {
 			ent.geom = &geometry{paths: plan.ts.Paths, cuts: plan.ts.Cuts}
 		}
-		s.cache.put(key, ent, int64(len(fl.wire)))
+		s.cache.Put(key, ent, int64(len(fl.wire)))
 	}
 	s.mu.Unlock()
 	// Write-through outside the service lock: disk latency (or a store

@@ -25,12 +25,14 @@
 // Touches are not fsynced, so a crash can lose recent recency, never
 // an entry.
 //
-// The store degrades instead of failing: any write-path I/O error
-// (disk full, EIO) trips it into memory-only mode — every operation
-// becomes a fast no-op — and a doubling-backoff probe re-attempts the
-// next writes until one succeeds, at which point the store silently
-// resumes. Readers of Stats see the mode, the reason, and every
-// counter the daemon exports.
+// The store degrades instead of failing: any I/O error on an entry
+// (disk full, EIO; a failed open, write, touch or read) trips it into
+// memory-only mode — every operation becomes a fast no-op — until its
+// doubling backoff falls due. The next Put is then the probe: it
+// writes its entry whatever the key, rewriting a stored one, and that
+// write alone either doubles the backoff or silently resumes the
+// store. Readers of Stats see the mode, the reason, and every counter
+// the daemon exports.
 package store
 
 import (

@@ -250,8 +250,8 @@ func (s *Store) recency() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var keys []string
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
+	for k := range s.lru.All() {
+		keys = append(keys, k)
 	}
 	return keys
 }

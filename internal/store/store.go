@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"cmp"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -17,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // entryFormat / entryVersion stamp every entry header; a future layout
@@ -73,9 +74,11 @@ type Stats struct {
 	Hits   int
 	Misses int
 
-	// Writes counts entries durably stored; WriteErrors counts failed
-	// write attempts (each trips degraded mode); SkippedWrites counts
-	// Puts dropped while degraded between probes.
+	// Writes counts new entries durably stored (a probe that rewrites a
+	// stored key, like a concurrent Put of the same key, adds none);
+	// WriteErrors counts failed writes and touches (each trips degraded
+	// mode); SkippedWrites counts Puts dropped while degraded between
+	// probes.
 	Writes        int
 	WriteErrors   int
 	SkippedWrites int
@@ -91,15 +94,6 @@ type Stats struct {
 	// memory-only mode.
 	Trips      int
 	Recoveries int
-}
-
-// entry is one resident key in the LRU index. pins counts in-flight
-// readers: a pinned entry is never evicted, so a Get that is streaming
-// an entry off disk cannot have the file unlinked under it.
-type entry struct {
-	key  string
-	size int64
-	pins int
 }
 
 // header is the first line of every entry file.
@@ -121,18 +115,17 @@ var errCorrupt = errors.New("store: corrupt entry")
 // the layout and crash-safety contract.
 type Store struct {
 	dir        string
-	capBytes   int64
 	fs         FS
 	now        func() time.Time
 	backoffMin time.Duration
 	backoffMax time.Duration
 
-	mu    sync.Mutex
-	init  bool
-	ll    *list.List // front = most recently used; values are *entry
-	index map[string]*list.Element
-	bytes int64
-	qseq  int // quarantine filename suffix, for repeat offenders
+	mu sync.Mutex
+	// lru indexes the entry files by key, charged their payload bytes. A
+	// Get pins its entry, so eviction cannot unlink a file being read.
+	lru  *lru.Cache[struct{}]
+	init bool // the directory was read; only a degraded store's probe checks
+	qseq int  // quarantine filename suffix, for repeat offenders
 
 	degraded  bool
 	reason    string
@@ -150,13 +143,11 @@ type Store struct {
 func Open(o Options) *Store {
 	s := &Store{
 		dir:        o.Dir,
-		capBytes:   o.CapBytes,
 		fs:         o.FS,
 		now:        o.Now,
 		backoffMin: o.BackoffMin,
 		backoffMax: o.BackoffMax,
-		ll:         list.New(),
-		index:      make(map[string]*list.Element),
+		lru:        lru.New[struct{}](o.CapBytes),
 	}
 	if s.fs == nil {
 		s.fs = OSFS()
@@ -186,19 +177,16 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	if !s.init || s.degraded {
-		s.st.Misses++
-		s.mu.Unlock()
-		return nil, false
+	var unpin func()
+	ok := !s.degraded // a degraded store does no disk I/O
+	if ok {
+		unpin, ok = s.lru.Pin(key) // hold the file in place while we read it
 	}
-	el, ok := s.index[key]
 	if !ok {
 		s.st.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	e.pins++ // hold the file in place while we read it
 	s.mu.Unlock()
 
 	payload, err := s.readEntry(key)
@@ -208,7 +196,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 
 	s.mu.Lock()
-	e.pins--
+	unpin()
 	if err != nil {
 		if errors.Is(err, errCorrupt) {
 			s.quarantineLocked(key)
@@ -220,35 +208,36 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.st.Hits++
-	if el2, ok := s.index[key]; ok { // may have been quarantined by a racing reader
-		s.ll.MoveToFront(el2)
-	}
+	s.lru.Get(key) // most recently used, unless a racing reader quarantined it
 	s.touchedLocked(key, terr)
 	s.mu.Unlock()
 	return payload, true
 }
 
-// Put stores val under key if absent. The write is atomic (temp file,
-// fsync, rename), so a crash at any instant leaves either the complete
-// entry or debris in tmp/ that the next Open clears. Errors do not
-// surface to the caller: a failed write trips degraded mode and the
-// store becomes a fast no-op until a backoff probe succeeds.
+// Put stores val under key if absent, and touches the entry if not. The
+// write is atomic (temp file, fsync, rename), so a crash at any instant
+// leaves either the complete entry or debris in tmp/ that the next Open
+// clears. Errors do not surface to the caller: a failed write or touch
+// trips degraded mode and the store becomes a fast no-op until a backoff
+// probe succeeds. The probe is the write of a due Put, whatever its key:
+// the bytes are content-addressed, so rewriting a stored key replaces the
+// file with its twin.
 func (s *Store) Put(key string, val []byte) {
 	if !validKey(key) || len(val) == 0 {
 		return
 	}
-	if s.capBytes > 0 && int64(len(val)) > s.capBytes {
+	if c := s.lru.Cap(); c > 0 && int64(len(val)) > c {
 		return
 	}
 	s.mu.Lock()
-	if s.degraded || !s.init {
+	if s.degraded {
 		if s.now().Before(s.nextProbe) {
 			s.st.SkippedWrites++
 			s.mu.Unlock()
 			return
 		}
-		// This write is the probe. If the directory never came up (or the
-		// disk reappeared), rebuild the on-disk state first.
+		// This write is the probe. If the directory never came up, read it
+		// first.
 		if !s.init {
 			if err := s.initLocked(); err != nil {
 				s.tripLocked("open", err)
@@ -256,15 +245,12 @@ func (s *Store) Put(key string, val []byte) {
 				return
 			}
 		}
-	}
-	if el, ok := s.index[key]; ok {
-		e := el.Value.(*entry)
-		s.ll.MoveToFront(el)
-		e.pins++
+	} else if unpin, ok := s.lru.Pin(key); ok {
+		s.lru.Get(key)
 		s.mu.Unlock()
 		err := s.touch(key)
 		s.mu.Lock()
-		e.pins--
+		unpin()
 		s.touchedLocked(key, err)
 		s.mu.Unlock()
 		return
@@ -280,20 +266,19 @@ func (s *Store) Put(key string, val []byte) {
 		s.mu.Unlock()
 		return
 	}
-	if s.degraded {
-		s.recoverLocked()
+	if s.degraded { // the probe succeeded
+		s.degraded = false
+		s.st.Recoveries++
 	}
-	if el, ok := s.index[key]; ok {
-		// A concurrent Put of the same key beat us; both wrote identical
-		// bytes (content addressing), so the second rename was a no-op.
-		s.ll.MoveToFront(el)
+	if _, ok := s.lru.Get(key); ok {
+		// The probe rewrote a stored key, or a concurrent Put of the same
+		// key beat us: both wrote identical bytes (content addressing).
 		s.mu.Unlock()
 		return
 	}
-	s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(val))})
-	s.bytes += int64(len(val))
+	victims := s.lru.Put(key, struct{}{}, int64(len(val)))
 	s.st.Writes++
-	victims := s.evictLocked()
+	s.st.Evictions += len(victims)
 	s.mu.Unlock()
 	for _, k := range victims {
 		s.fs.Remove(s.planPath(k))
@@ -305,14 +290,10 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.st
-	st.Entries = len(s.index)
-	st.Bytes = s.bytes
-	st.CapBytes = s.capBytes
+	st.Entries, st.Bytes, st.CapBytes = s.lru.Len(), s.lru.Cost(), s.lru.Cap()
+	st.Mode = "ok"
 	if s.degraded {
-		st.Mode = "degraded"
-		st.Reason = s.reason
-	} else {
-		st.Mode = "ok"
+		st.Mode, st.Reason = "degraded", s.reason
 	}
 	return st
 }
@@ -362,15 +343,6 @@ func (s *Store) tripLocked(op string, err error) {
 	s.nextProbe = s.now().Add(s.backoff)
 }
 
-// recoverLocked leaves degraded mode after a successful probe write.
-func (s *Store) recoverLocked() {
-	s.degraded = false
-	s.reason = ""
-	s.backoff = 0
-	s.nextProbe = time.Time{}
-	s.st.Recoveries++
-}
-
 // ---- entry I/O ----
 
 // writeEntry stages header+payload in tmp/, stamps its mtime, fsyncs,
@@ -408,9 +380,8 @@ func (s *Store) writeEntry(key string, val []byte) error {
 	}
 	if err != nil {
 		s.fs.Remove(tmpPath)
-		return err
 	}
-	return nil
+	return err
 }
 
 // touch stamps a stored entry's file with the current time, the store's
@@ -446,28 +417,35 @@ func (s *Store) readEntry(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := verifyEntry(key, b)
-	if err != nil {
-		return nil, err
+	return verifyEntry(key, b)
+}
+
+// parseHeader checks the header line at the front of an entry's bytes,
+// the whole file or its first maxHeaderBytes, and returns it with the
+// payload's offset. The line, newline included, fits in maxHeaderBytes.
+func parseHeader(key string, b []byte) (header, int, error) {
+	var h header
+	idx := bytes.IndexByte(b[:min(len(b), maxHeaderBytes)], '\n')
+	if idx < 0 {
+		return h, 0, fmt.Errorf("%w: %s: no header line", errCorrupt, key)
 	}
-	return payload, nil
+	if err := json.Unmarshal(b[:idx], &h); err != nil {
+		return h, 0, fmt.Errorf("%w: %s: bad header: %v", errCorrupt, key, err)
+	}
+	if h.Format != entryFormat || h.Version != entryVersion || h.Key != key || h.Len <= 0 {
+		return h, 0, fmt.Errorf("%w: %s: header mismatch", errCorrupt, key)
+	}
+	return h, idx + 1, nil
 }
 
 // verifyEntry checks the header line, length, and SHA-256 of one
 // entry's raw bytes, returning the payload.
 func verifyEntry(key string, b []byte) ([]byte, error) {
-	idx := bytes.IndexByte(b, '\n')
-	if idx < 0 || idx > maxHeaderBytes {
-		return nil, fmt.Errorf("%w: %s: no header line", errCorrupt, key)
+	h, off, err := parseHeader(key, b)
+	if err != nil {
+		return nil, err
 	}
-	var h header
-	if err := json.Unmarshal(b[:idx], &h); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad header: %v", errCorrupt, key, err)
-	}
-	if h.Format != entryFormat || h.Version != entryVersion || h.Key != key {
-		return nil, fmt.Errorf("%w: %s: header mismatch", errCorrupt, key)
-	}
-	payload := b[idx+1:]
+	payload := b[off:]
 	if int64(len(payload)) != h.Len {
 		return nil, fmt.Errorf("%w: %s: truncated: have %d bytes, header says %d",
 			errCorrupt, key, len(payload), h.Len)
@@ -483,11 +461,7 @@ func verifyEntry(key string, b []byte) ([]byte, error) {
 // and into quarantine/ for postmortems (falling back to deletion, then
 // to simply forgetting it, if the disk won't cooperate).
 func (s *Store) quarantineLocked(key string) {
-	if el, ok := s.index[key]; ok {
-		s.bytes -= el.Value.(*entry).size
-		s.ll.Remove(el)
-		delete(s.index, key)
-	}
+	s.lru.Remove(key)
 	s.st.Quarantined++
 	s.qseq++
 	dst := filepath.Join(s.quarantineDir(), key+".plan."+strconv.Itoa(s.qseq))
@@ -496,37 +470,12 @@ func (s *Store) quarantineLocked(key string) {
 	}
 }
 
-// evictLocked unlinks LRU-tail entries from the index until the byte
-// budget holds, skipping pinned entries (an in-flight reader is never
-// evicted under). It returns the victims' keys; the caller removes the
-// files after releasing the lock.
-func (s *Store) evictLocked() []string {
-	if s.capBytes <= 0 {
-		return nil
-	}
-	var victims []string
-	for el := s.ll.Back(); el != nil && s.bytes > s.capBytes; {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		if e.pins == 0 {
-			s.ll.Remove(el)
-			delete(s.index, e.key)
-			s.bytes -= e.size
-			s.st.Evictions++
-			victims = append(victims, e.key)
-		}
-		el = prev
-	}
-	return victims
-}
-
 // ---- open-time recovery ----
 
-// initLocked rebuilds the in-memory index from disk: directories
-// ensured, crash debris in tmp/ and an older build's journal removed,
-// every entry's header verified (torn entries quarantined), the LRU
-// order rebuilt from the entries' mtimes, and the byte budget
-// re-enforced.
+// initLocked fills the empty index from disk: directories ensured,
+// crash debris in tmp/ and an older build's journal removed, every
+// entry's header verified (torn entries quarantined), the LRU order
+// rebuilt from the entries' mtimes, and the byte budget re-enforced.
 func (s *Store) initLocked() error {
 	for _, d := range []string{s.dir, s.plansDir(), s.tmpDir(), s.quarantineDir()} {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
@@ -541,9 +490,6 @@ func (s *Store) initLocked() error {
 	}
 	// Older builds kept the LRU order in an append-only journal.
 	s.fs.Remove(filepath.Join(s.dir, "journal"))
-	s.ll.Init()
-	clear(s.index)
-	s.bytes = 0
 
 	ents, err := s.fs.ReadDir(s.plansDir())
 	if err != nil {
@@ -572,11 +518,11 @@ func (s *Store) initLocked() error {
 	slices.SortFunc(live, func(a, b found) int {
 		return cmp.Or(a.mtime.Compare(b.mtime), strings.Compare(a.key, b.key))
 	})
+	var victims []string
 	for _, f := range live {
-		s.index[f.key] = s.ll.PushFront(&entry{key: f.key, size: f.size})
-		s.bytes += f.size
+		victims = append(victims, s.lru.Put(f.key, struct{}{}, f.size)...)
 	}
-	victims := s.evictLocked()
+	s.st.Evictions += len(victims)
 	for _, k := range victims {
 		s.fs.Remove(s.planPath(k))
 	}
@@ -599,25 +545,17 @@ func (s *Store) verifyEntryHeader(key string) (int64, time.Time, error) {
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return 0, time.Time{}, err
 	}
-	head = head[:n]
-	idx := bytes.IndexByte(head, '\n')
-	if idx < 0 {
-		return 0, time.Time{}, fmt.Errorf("%w: %s: no header line", errCorrupt, key)
-	}
-	var h header
-	if err := json.Unmarshal(head[:idx], &h); err != nil {
-		return 0, time.Time{}, fmt.Errorf("%w: %s: bad header: %v", errCorrupt, key, err)
-	}
-	if h.Format != entryFormat || h.Version != entryVersion || h.Key != key || h.Len <= 0 {
-		return 0, time.Time{}, fmt.Errorf("%w: %s: header mismatch", errCorrupt, key)
+	h, off, err := parseHeader(key, head[:n])
+	if err != nil {
+		return 0, time.Time{}, err
 	}
 	fi, err := s.fs.Stat(s.planPath(key))
 	if err != nil {
 		return 0, time.Time{}, err
 	}
-	if fi.Size() != int64(idx+1)+h.Len {
+	if fi.Size() != int64(off)+h.Len {
 		return 0, time.Time{}, fmt.Errorf("%w: %s: truncated: file is %d bytes, want %d",
-			errCorrupt, key, fi.Size(), int64(idx+1)+h.Len)
+			errCorrupt, key, fi.Size(), int64(off)+h.Len)
 	}
 	return h.Len, fi.ModTime(), nil
 }

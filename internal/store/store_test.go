@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,44 @@ func TestTruncatedEntryQuarantinedOnOpen(t *testing.T) {
 	}
 	if v, ok := s2.Get(k2); !ok || string(v) != "intact" {
 		t.Error("intact entry lost during recovery")
+	}
+}
+
+// TestHeaderLineLimit: Get's full check and Open's header pass agree on
+// the longest header line they accept: its newline must fall within the
+// first maxHeaderBytes bytes of the entry.
+func TestHeaderLineLimit(t *testing.T) {
+	for _, newline := range []int{maxHeaderBytes - 1, maxHeaderBytes} {
+		t.Run(fmt.Sprint(newline), func(t *testing.T) {
+			dir := t.TempDir()
+			k, v := key("long header"), []byte("payload")
+			s := Open(Options{Dir: dir})
+			s.Put(k, v)
+			path := filepath.Join(dir, "plans", k+".plan")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pad the header's JSON object with spaces before its closing
+			// brace, so that its newline lands at the given offset.
+			i := bytes.IndexByte(b, '\n')
+			padded := slices.Concat(b[:i-1], bytes.Repeat([]byte(" "), newline-i), b[i-1:])
+			want := newline < maxHeaderBytes
+			for _, via := range []string{"Get", "Open"} {
+				if err := os.WriteFile(path, padded, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got := false
+				if via == "Get" {
+					_, got = s.Get(k)
+				} else {
+					got = Open(Options{Dir: dir}).Stats().Entries == 1
+				}
+				if got != want {
+					t.Errorf("%s with the header's newline at byte %d: accepted = %v, want %v", via, newline, got, want)
+				}
+			}
+		})
 	}
 }
 
