@@ -93,7 +93,7 @@ const (
 	// PathEngineAuto picks the serpentine strip decomposition — exact on
 	// regular arrays, patched on irregular ones, fast at every Table I size.
 	PathEngineAuto PathEngine = iota
-	// PathEngineSerpentine forces the strip-decomposition generator.
+	// PathEngineSerpentine names the generator PathEngineAuto picks.
 	PathEngineSerpentine
 	// PathEngineILPIterative solves the paper's per-path ILP model
 	// repeatedly, maximizing newly covered valves each round.
@@ -192,10 +192,8 @@ func (c genConfig) coreConfig() (core.Config, error) {
 	coreCfg.FlowPath.ILP.Workers = c.workers
 	coreCfg.CutSet.ILP.Workers = c.workers
 	switch c.pathEngine {
-	case PathEngineAuto:
+	case PathEngineAuto, PathEngineSerpentine: // one generator (see planKey)
 		coreCfg.FlowPath.Engine = flowpath.EngineAuto
-	case PathEngineSerpentine:
-		coreCfg.FlowPath.Engine = flowpath.EngineSerpentine
 	case PathEngineILPIterative:
 		coreCfg.FlowPath.Engine = flowpath.EngineILPIterative
 	case PathEngineILPMonolithic:

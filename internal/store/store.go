@@ -290,10 +290,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.st
-	st.Entries, st.Bytes, st.CapBytes = s.lru.Len(), s.lru.Cost(), s.lru.Cap()
-	st.Mode = "ok"
+	st.Entries = s.lru.Len()
+	st.Bytes = s.lru.Cost()
+	st.CapBytes = s.lru.Cap()
 	if s.degraded {
-		st.Mode, st.Reason = "degraded", s.reason
+		st.Mode = "degraded"
+		st.Reason = s.reason
+	} else {
+		st.Mode = "ok"
 	}
 	return st
 }
